@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -64,7 +65,9 @@ class Ellipse:
         if not (float(self.a) >= float(self.b) > 0.0):
             raise InvalidBody("ellipse needs a >= b > 0")
 
+    @cached_property
     def axes(self):
+        """Unit major and minor axis directions."""
         u = unit(self.angle)
         return u, Point(-u.y, u.x)
 
@@ -189,7 +192,7 @@ def support_dir(body, d: Point, tie_tol: float = 0.0):
                         float(body.center.y) + float(body.radius) * float(d.y) / nd)
         return value, contact, "smooth"
     if isinstance(body, Ellipse):
-        u, v = body.axes()
+        u, v = body.axes
         du = float(dot(d, u))
         dv = float(dot(d, v))
         a2u = float(body.a) ** 2 * du
@@ -229,7 +232,7 @@ def support_batch(body, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
         c = as_float_point(body.center)
         return c.x * cos_t + c.y * sin_t + float(body.radius)
     if isinstance(body, Ellipse):
-        u, v = body.axes()
+        u, v = body.axes
         c = as_float_point(body.center)
         du = cos_t * u.x + sin_t * u.y
         dv = cos_t * v.x + sin_t * v.y
@@ -261,7 +264,7 @@ def body_contains_point(body, p: Point, eps: float = 0.0) -> bool:
         r = float(body.radius)
         return (dx * dx + dy * dy) / (r * r) <= 1.0 + eps
     if isinstance(body, Ellipse):
-        u, v = body.axes()
+        u, v = body.axes
         q = Point(float(p.x) - float(body.center.x), float(p.y) - float(body.center.y))
         qu = float(dot(q, u)) / float(body.a)
         qv = float(dot(q, v)) / float(body.b)

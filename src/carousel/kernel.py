@@ -104,10 +104,6 @@ def circ_dist(a: float, b: float) -> float:
     return min(g, TWO_PI - g)
 
 
-def angles_close(a: float, b: float, tol: float = EPS_ANGLE) -> bool:
-    return circ_dist(a, b) <= tol
-
-
 # ---------------------------------------------------------------------------
 # half-planes
 

@@ -457,18 +457,24 @@ class CrossReport:
     agree: bool
 
 
-def cross_validate(scene: Scene, csl=None) -> CrossReport:
-    """Run both deciders; the constructive witness must pass brute force."""
+def cross_validate(scene: Scene, csl=None,
+                   brute: Optional[Certificate] = None) -> CrossReport:
+    """Run both deciders; the constructive witness must pass brute force.
+
+    A brute-force certificate the caller already holds for the scene is
+    reused.  The witness re-validation is the constructive proof itself:
+    every constructive witness is a contained_in_hull call of body i in
+    the other body plus all vertices but j, at eps * REVALIDATION_SLACK.
+    """
     if csl is None:
         csl = scene_csl(scene)
-    brute = check_carousel_bruteforce(scene, csl)
+    if brute is None:
+        brute = check_carousel_bruteforce(scene, csl)
     cons, trace = check_carousel_constructive(scene, csl)
     if cons.verdict == "degenerate" or brute.verdict == "degenerate":
         # degenerate tangency structure: agreement is vacuous
         return CrossReport(brute, cons, trace, None, True)
-    reval = contained_in_hull(scene.body(cons.i), scene.body(1 - cons.i),
-                              scene.vertices_except(cons.j),
-                              eps=scene.tol.eps * REVALIDATION_SLACK)
+    reval = cons.proof
     if not reval.contained:
         raise CrossValidationDisagreement(
             f"constructive witness {(cons.i, cons.j)} fails containment "
@@ -554,7 +560,7 @@ def verify_scene(scene: Scene) -> dict:
         if rec["csl_kind"] == "lines" and not rec["degenerate"]:
             s, n = csl.count, scene.n
             if 1 <= s < n:
-                report = cross_validate(scene, csl)
+                report = cross_validate(scene, csl, brute)
                 rec["constructive_ok"] = report.constructive.verdict == "holds"
                 rec["constructive_case"] = report.trace.case
                 rec["cross_agree"] = report.agree

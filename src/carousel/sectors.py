@@ -24,6 +24,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bodies import (
+    Disk,
+    HullBody,
     body_contains_point,
     is_polygonal,
     origin_radius,
@@ -52,7 +54,6 @@ from .kernel import (
     cw_gap,
     intersect_halfplanes,
     point_in_polygon,
-    unit,
     wrap_angle,
 )
 from .tangency import OrientedSupportLine
@@ -79,40 +80,62 @@ class NormalArc:
         g = cw_gap(self.start, theta)
         return g <= self.width + tol or g >= TWO_PI - tol
 
-    def angles(self, count: int) -> List[float]:
-        """count angles from start to end inclusive, advancing clockwise."""
+    def angles(self, count: int) -> np.ndarray:
+        """count angles from start to end inclusive, advancing clockwise.
+
+        Each entry equals wrap_angle(start - width * k / (count - 1)).
+        """
         if count <= 1:
-            return [self.start]
-        return [wrap_angle(self.start - self.width * k / (count - 1))
-                for k in range(count)]
+            return np.array([self.start])
+        ts = np.fmod(self.start - self.width * np.arange(count) / (count - 1), TWO_PI)
+        ts[ts < 0.0] += TWO_PI
+        ts[ts >= TWO_PI] = 0.0
+        return ts
 
     def clockwise_offset(self, theta: float) -> float:
         return cw_gap(self.start, theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorRegion:
-    """Intersection of supporting half-planes over a normal arc."""
+    """Intersection of supporting half-planes over a normal arc.
+
+    The half-planes {p : nx[k] p.x + ny[k] p.y <= c[k]} live in float
+    arrays, so membership tests run as single numpy sweeps.
+    """
 
     arc: NormalArc
     body: object
-    planes: Tuple[HalfPlane, ...]
+    nx: np.ndarray
+    ny: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def from_planes(cls, arc: NormalArc, body, planes) -> "SectorRegion":
+        cols = np.array([(float(hp.nx), float(hp.ny), float(hp.c)) for hp in planes])
+        return cls(arc, body, cols[:, 0], cols[:, 1], cols[:, 2])
+
+    @property
+    def planes(self) -> Tuple[HalfPlane, ...]:
+        return tuple(HalfPlane(float(a), float(b), float(c))
+                     for a, b, c in zip(self.nx, self.ny, self.c))
 
     def contains_point(self, p: Point, eps: float = EPS) -> bool:
-        return all(hp.contains(p, eps) for hp in self.planes)
+        px, py = float(p.x), float(p.y)
+        value = self.nx * px + self.ny * py - self.c
+        if eps == 0.0:
+            return bool(np.all(value <= 0))
+        scale = (1.0 + max(abs(px), abs(py))) * np.hypot(self.nx, self.ny)
+        return bool(np.all(value <= eps * scale))
 
     def contains_body(self, other, eps: float = EPS) -> bool:
         """other inside the sector, by support comparison per half-plane.
 
         Sector planes carry unit normals, so the comparison vectorizes.
         """
-        scale = 1.0 + max(origin_radius(other),
-                          max(abs(float(hp.c)) for hp in self.planes))
-        nx = np.array([float(hp.nx) for hp in self.planes])
-        ny = np.array([float(hp.ny) for hp in self.planes])
-        c = np.array([float(hp.c) for hp in self.planes])
-        h = support_batch(other, nx, ny)
-        return bool(np.all(h <= c + eps * scale))
+        scale = 1.0 + max(origin_radius(other), float(np.max(np.abs(self.c))))
+        h = support_batch(other, self.nx, self.ny)
+        return bool(np.all(h <= self.c + eps * scale))
 
     def clipped(self, container: ConvexPolygon, eps: float = 0.0) -> Optional[ConvexPolygon]:
         """Materialize sector intersected with the container polygon."""
@@ -125,7 +148,7 @@ SECTOR_SAMPLES = 512  # default half-plane count across a smooth arc
 def sector_from_arc(body, arc: NormalArc, samples: int = SECTOR_SAMPLES) -> SectorRegion:
     """Sector of the body over an explicit normal arc."""
     if arc.width <= 0.0:
-        return SectorRegion(arc, body, (supporting_line(body, arc.start),))
+        return SectorRegion.from_planes(arc, body, (supporting_line(body, arc.start),))
     if is_polygonal(body):
         planes = [supporting_line(body, arc.start)]
         if arc.width < TWO_PI:
@@ -151,15 +174,12 @@ def sector_from_arc(body, arc: NormalArc, samples: int = SECTOR_SAMPLES) -> Sect
             for k in range(1, extra + 1):
                 ang = wrap_angle(arc.start - arc.width * k / (extra + 1))
                 planes.append(supporting_line(body, ang))
-        return SectorRegion(arc, body, tuple(planes))
+        return SectorRegion.from_planes(arc, body, planes)
     # smooth: endpoints plus `samples` angles spread across the arc; values
     # come from one vectorized support sweep (contacts are not needed)
-    ts = np.array(arc.angles(samples + 2))
+    ts = arc.angles(samples + 2)
     ct, st = np.cos(ts), np.sin(ts)
-    hs = support_batch(body, ct, st)
-    planes = tuple(HalfPlane(float(ct[k]), float(st[k]), float(hs[k]))
-                   for k in range(len(ts)))
-    return SectorRegion(arc, body, planes)
+    return SectorRegion(arc, body, ct, st, support_batch(body, ct, st))
 
 
 def sector(l1: OrientedSupportLine, l2: OrientedSupportLine, body,
@@ -345,8 +365,10 @@ def vertex_hit_events(body, container: ConvexPolygon, eps: float = EPS):
     """All vertex events of the container around the body.
 
     Each vertex strictly outside the body yields one left and one right
-    event (the two tangent normals).  Vertices inside or on the body are
-    reported separately as degenerate.
+    event (the two tangent normals), read off the hull of the body and
+    the vertex for polygonal bodies and solved in closed form for smooth
+    ones.  Vertices inside or on the body are reported separately as
+    degenerate.
     """
     events: List[VertexEvent] = []
     degenerate: List[int] = []
@@ -357,7 +379,7 @@ def vertex_hit_events(body, container: ConvexPolygon, eps: float = EPS):
         if is_polygonal(body):
             pair = _tangent_normals_polygonal(body, v)
         else:
-            pair = _tangent_normals_smooth(body, v)
+            pair = _tangent_normals_smooth(body, v, eps)
         if pair is None:
             degenerate.append(i)
             continue
@@ -388,40 +410,51 @@ def _tangent_normals_polygonal(body, g: Point):
             (hull.outward_normal_angle(next_edge), "R"))
 
 
-def _tangent_normals_smooth(body, g: Point, grid: int = 1024):
+def _tangent_normals_smooth(body, g: Point, eps: float):
+    """Closed-form normals of the two lines through g tangent to the body.
+
+    The affine map taking a disk or ellipse to the unit circle takes g to
+    q with |q| > 1; there the tangent normals sit at angle(q) -+
+    arccos(1/|q|) (left exit first, the map keeps orientation) and map
+    back through the inverse transpose.  A hull keeps, per side, the part
+    tangent that supports the whole hull, within eps.
+    """
     fg = as_float_point(g)
-    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    ct, st = np.cos(thetas), np.sin(thetas)
-    vals = fg.x * ct + fg.y * st - support_batch(body, ct, st)
-
-    def f(t: float) -> float:
-        n = unit(t)
-        return fg.x * n.x + fg.y * n.y - support(body, t).value
-
-    roots = []
-    step = TWO_PI / grid
-    for i in range(grid):
-        a, b = float(vals[i]), float(vals[(i + 1) % grid])
-        if (a > 0) != (b > 0):
-            lo, hi = thetas[i], thetas[i] + step
-            fa = a
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if (fa > 0) != (fm > 0):
-                    hi = mid
-                else:
-                    lo, fa = mid, fm
-            roots.append(wrap_angle(0.5 * (lo + hi)))
-    if len(roots) != 2:
+    if isinstance(body, HullBody):
+        candidates = []
+        for part in body.parts:
+            pair = (_tangent_normals_polygonal(part, g) if is_polygonal(part)
+                    else _tangent_normals_smooth(part, g, eps))
+            if pair is None:
+                return None  # g inside a part, hence inside the hull
+            candidates.extend(pair)
+        tol = eps * (1.0 + max(origin_radius(body), fg.linf()))
+        out = []
+        for side in ("L", "R"):
+            excess, t = min((support(body, t).value - fg.x * math.cos(t)
+                             - fg.y * math.sin(t), t)
+                            for t, s in candidates if s == side)
+            if excess > tol:
+                return None
+            out.append((t, side))
+        return tuple(sorted(out))
+    if isinstance(body, Disk):
+        u, a, b = Point(1.0, 0.0), float(body.radius), float(body.radius)
+    else:
+        u, a, b = body.axes[0], float(body.a), float(body.b)
+    c = as_float_point(body.center)
+    dx, dy = fg.x - c.x, fg.y - c.y
+    qx = (dx * u.x + dy * u.y) / a
+    qy = (dy * u.x - dx * u.y) / b
+    rho = math.hypot(qx, qy)
+    if rho <= 1.0:
         return None
+    phi, psi = math.atan2(qy, qx), math.acos(1.0 / rho)
     out = []
-    for t in roots:
-        contact = support(body, t).contact
-        dl = unit(wrap_angle(t + math.pi / 2))
-        along = (fg.x - float(contact.x)) * dl.x + (fg.y - float(contact.y)) * dl.y
-        out.append((t, "L" if along > 0 else "R"))
-    return tuple(out)
+    for m, side in ((phi - psi, "L"), (phi + psi, "R")):
+        mu, mv = math.cos(m) / a, math.sin(m) / b
+        out.append((angle_of(Point(mu * u.x - mv * u.y, mu * u.y + mv * u.x)), side))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -372,20 +372,19 @@ def _csl_sampled(a0, a1, eps: float):
     # walk samples with a strict sign; a near-zero block between two strict
     # samples is one event: a crossing when the signs differ, a tangential
     # touch when they agree
-    strict = [i for i in range(CSL_GRID) if abs(float(deltas[i])) > thr]
+    strict = np.flatnonzero(~near)
+    gaps = (np.roll(strict, -1) - strict) % CSL_GRID
+    positive = deltas[strict] > 0
+    flips = positive != np.roll(positive, -1)
     roots = []
     tangential = []
-    for k in range(len(strict)):
-        i, j = strict[k], strict[(k + 1) % len(strict)]
-        gap_steps = (j - i) % CSL_GRID
-        if gap_steps == 0:
-            continue
+    for k in np.flatnonzero((gaps > 0) & (flips | (gaps > 1))):
+        i, j = int(strict[k]), int(strict[(k + 1) % len(strict)])
         ti = thetas[i]
-        tj = ti + gap_steps * step
-        di, dj = float(deltas[i]), float(deltas[j])
-        if (di > 0) != (dj > 0):
-            roots.append(_bisect_root(dfun, ti, tj, di, dj))
-        elif gap_steps > 1:
+        tj = ti + int(gaps[k]) * step
+        if flips[k]:
+            roots.append(_bisect_root(dfun, ti, tj, float(deltas[i]), float(deltas[j])))
+        else:
             x, v = golden_min(lambda t: abs(dfun(t)), ti, tj)
             if abs(v) <= thr:
                 tangential.append(wrap_angle(x))

@@ -63,7 +63,7 @@ def test_ellipse_axis_support():
 
 def test_ellipse_support_against_boundary_sampling():
     body = Ellipse(Point(0.3, -0.2), 2.0, 0.7, 0.5)
-    u, v = body.axes()
+    u, v = body.axes
     ts = np.linspace(0.0, 2 * math.pi, 20000, endpoint=False)
     bx = float(body.center.x) + 2.0 * np.cos(ts) * u.x + 0.7 * np.sin(ts) * v.x
     by = float(body.center.y) + 2.0 * np.cos(ts) * u.y + 0.7 * np.sin(ts) * v.y

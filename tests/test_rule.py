@@ -9,8 +9,11 @@ from carousel.errors import (
     ModeMixError,
     SceneInvariantError,
 )
+from carousel import rule
+from carousel.constructions import FuzzConfig, generate_fuzz_scene
 from carousel.kernel import ConvexPolygon, Point
 from carousel.rule import (
+    REVALIDATION_SLACK,
     Certificate,
     Scene,
     check_carousel_bruteforce,
@@ -22,6 +25,7 @@ from carousel.rule import (
     sweep_partition_ok,
     verify_scene,
 )
+from carousel.tangency import CslLines, mixed_sign_gaps
 
 F = Fraction
 
@@ -225,3 +229,43 @@ def test_hull_pair_body_polygonal_collapses():
     hull = hull_pair_body(a0, a1)
     assert isinstance(hull, PolygonBody)
     assert Point(2.0, 2.0) in hull.poly.vertices
+
+
+def test_verify_scene_runs_bruteforce_once(monkeypatch):
+    calls = []
+    real = rule.check_carousel_bruteforce
+
+    def counting(scene, csl=None):
+        calls.append(scene)
+        return real(scene, csl)
+
+    monkeypatch.setattr(rule, "check_carousel_bruteforce", counting)
+    cfg = FuzzConfig(seed=2026)
+    cross_checked = 0
+    for k in range(20):
+        calls.clear()
+        rec = verify_scene(generate_fuzz_scene(cfg, k))
+        assert rec["error"] is None
+        assert len(calls) == 1
+        cross_checked += rec["dichotomy_ok"] is not None  # 1 <= s < n
+    assert cross_checked > 0
+
+
+def test_cross_validate_revalidation_is_fresh_containment():
+    cfg = FuzzConfig(seed=2026)
+    checked = 0
+    for k in range(100):
+        scene = generate_fuzz_scene(cfg, k)
+        csl = scene_csl(scene)
+        if not (isinstance(csl, CslLines) and 1 <= csl.count < scene.n) \
+                or csl.degenerate or mixed_sign_gaps(scene.a0, scene.a1, csl,
+                                                     eps=scene.tol.eps):
+            continue
+        report = cross_validate(scene, csl)
+        i, j = report.constructive.i, report.constructive.j
+        fresh = contained_in_hull(scene.body(i), scene.body(1 - i),
+                                  scene.vertices_except(j),
+                                  eps=scene.tol.eps * REVALIDATION_SLACK)
+        assert report.revalidation == fresh
+        checked += 1
+    assert checked >= 50

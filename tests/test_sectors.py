@@ -2,11 +2,23 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from carousel.bodies import Disk, HullBody, PointBody, PolygonBody, support
+from carousel.bodies import (
+    Disk,
+    Ellipse,
+    HullBody,
+    PointBody,
+    PolygonBody,
+    origin_radius,
+    support,
+    support_batch,
+    support_dir,
+)
 from carousel.errors import DegenerateArc, EndpointNotVertex, ExpansionTooWide
 from carousel.kernel import (
+    EPS,
     ConvexPolygon,
     Point,
     TWO_PI,
@@ -15,9 +27,11 @@ from carousel.kernel import (
     convex_hull,
     point_in_polygon,
     unit,
+    wrap_angle,
 )
 from carousel.sectors import (
     NormalArc,
+    _tangent_normals_smooth,
     boundary_exit,
     expand_sector,
     sector,
@@ -356,3 +370,124 @@ def test_vertices_between_requires_vertices():
     l2 = make_support_line(disk, 0.0)
     with pytest.raises(EndpointNotVertex):
         vertices_between(l1, l2, disk, BIG_SQUARE)
+
+
+def _grid_bisection_tangents(body, g, grid=1024):
+    """Reference oracle: sign changes of g.n(t) - h(t) on a grid, bisected."""
+    fg = as_float_point(g)
+    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    ct, st = np.cos(thetas), np.sin(thetas)
+    vals = fg.x * ct + fg.y * st - support_batch(body, ct, st)
+
+    def f(t):
+        n = unit(t)
+        return fg.x * n.x + fg.y * n.y - support(body, t).value
+
+    roots = []
+    step = TWO_PI / grid
+    for i in range(grid):
+        a, b = float(vals[i]), float(vals[(i + 1) % grid])
+        if (a > 0) != (b > 0):
+            lo, hi = thetas[i], thetas[i] + step
+            fa = a
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if (fa > 0) != (fm > 0):
+                    hi = mid
+                else:
+                    lo, fa = mid, fm
+            roots.append(wrap_angle(0.5 * (lo + hi)))
+    if len(roots) != 2:
+        return None
+    out = []
+    for t in roots:
+        contact = support(body, t).contact
+        dl = unit(wrap_angle(t + math.pi / 2))
+        along = (fg.x - float(contact.x)) * dl.x + (fg.y - float(contact.y)) * dl.y
+        out.append((t, "L" if along > 0 else "R"))
+    return tuple(out)
+
+
+def _random_tangent_cases(count, seed=2026):
+    rng = random.Random(seed)
+
+    def pt(s=1.0):
+        return Point(rng.uniform(-s, s), rng.uniform(-s, s))
+
+    def disk():
+        return Disk(pt(), rng.uniform(0.05, 1.0))
+
+    def thin_ellipse():
+        a = rng.uniform(0.1, 1.2)
+        return Ellipse(pt(), a, a * rng.uniform(0.01, 0.1), rng.uniform(0.0, TWO_PI))
+
+    def ellipse():
+        a = rng.uniform(0.1, 1.2)
+        return Ellipse(pt(), a, a * rng.uniform(0.1, 1.0), rng.uniform(0.0, TWO_PI))
+
+    def polygon():
+        c = pt()
+        return PolygonBody(convex_hull([Point(c.x + rng.uniform(-0.5, 0.5),
+                                              c.y + rng.uniform(-0.5, 0.5))
+                                        for _ in range(5)]))
+
+    makers = [disk, thin_ellipse, ellipse,
+              lambda: HullBody((disk(), thin_ellipse())),
+              lambda: HullBody((disk(), polygon())),
+              lambda: HullBody((ellipse(), PointBody(pt())))]
+    return [(makers[k % len(makers)](), pt(3.0)) for k in range(count)]
+
+
+def test_closed_form_tangents_match_grid_bisection_oracle():
+    cases = _random_tangent_cases(600)
+    kinds = set()
+    for body, g in cases:
+        ref = _grid_bisection_tangents(body, g)
+        got = _tangent_normals_smooth(body, g, EPS)
+        assert (got is None) == (ref is None), (body, g)
+        kinds.add((type(body).__name__, got is None))
+        if got is None:
+            continue
+        assert [s for _, s in got] == [s for _, s in ref]
+        for (t, _), (t_ref, _) in zip(got, ref):
+            assert circ_dist(t, t_ref) <= 1e-11
+            n = unit(t)
+            residual = g.x * n.x + g.y * n.y - support(body, t).value
+            assert abs(residual) <= 1e-12 * (1.0 + math.hypot(g.x, g.y))
+    # every body kind was met both outside (two events) and inside (None)
+    assert kinds == {(k, none) for k in ("Disk", "Ellipse", "HullBody")
+                     for none in (False, True)}
+
+
+def _plane_loop_contains_body(sec, other, eps):
+    scale = 1.0 + max(origin_radius(other), max(abs(hp.c) for hp in sec.planes))
+    return all(float(support_dir(other, Point(hp.nx, hp.ny))[0]) <= hp.c + eps * scale
+               for hp in sec.planes)
+
+
+def test_array_sector_membership_matches_halfplane_loop():
+    rng = random.Random(7)
+    bodies = [Disk(Point(0.2, -0.1), 0.6),
+              Ellipse(Point(-0.3, 0.4), 0.9, 0.2, 1.1),
+              PolygonBody(ConvexPolygon((Point(-0.5, -0.5), Point(0.6, -0.4),
+                                         Point(0.3, 0.7)))),
+              HullBody((Disk(Point(-0.4, 0.0), 0.3), PointBody(Point(0.8, 0.5))))]
+    outcomes = set()
+    for body in bodies:
+        for _ in range(12):
+            sec = sector_from_arc(body, NormalArc(rng.uniform(0.0, TWO_PI),
+                                                  rng.uniform(0.0, TWO_PI)))
+            for eps in (0.0, 1e-9, 1e-3):
+                for _ in range(40):
+                    p = Point(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+                    ref = all(hp.contains(p, eps) for hp in sec.planes)
+                    assert sec.contains_point(p, eps) == ref
+                    outcomes.add(("point", ref))
+                for _ in range(10):
+                    other = Disk(Point(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
+                                 rng.uniform(0.05, 0.5))
+                    ref = _plane_loop_contains_body(sec, other, eps)
+                    assert sec.contains_body(other, eps) == ref
+                    outcomes.add(("body", ref))
+    assert outcomes == {(k, v) for k in ("point", "body") for v in (False, True)}
