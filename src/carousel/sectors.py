@@ -117,8 +117,7 @@ class SectorRegion:
 
     @property
     def planes(self) -> Tuple[HalfPlane, ...]:
-        return tuple(HalfPlane(float(a), float(b), float(c))
-                     for a, b, c in zip(self.nx, self.ny, self.c))
+        return tuple(map(HalfPlane, self.nx.tolist(), self.ny.tolist(), self.c.tolist()))
 
     def contains_point(self, p: Point, eps: float = EPS) -> bool:
         px, py = float(p.x), float(p.y)
