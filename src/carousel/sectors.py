@@ -413,10 +413,11 @@ def _tangent_normals_smooth(body, g: Point, eps: float):
     """Closed-form normals of the two lines through g tangent to the body.
 
     The affine map taking a disk or ellipse to the unit circle takes g to
-    q with |q| > 1; there the tangent normals sit at angle(q) -+
-    arccos(1/|q|) (left exit first, the map keeps orientation) and map
-    back through the inverse transpose.  A hull keeps, per side, the part
-    tangent that supports the whole hull, within eps.
+    q with |q| > 1; there the tangent normals sit at angle(q) - psi (left
+    exit; the map keeps orientation) and angle(q) + psi (right exit), with
+    psi = arccos(1/|q|), and map back through the inverse transpose.  A
+    hull keeps, per side, the part tangent that supports the whole hull,
+    within eps.
     """
     fg = as_float_point(g)
     if isinstance(body, HullBody):
