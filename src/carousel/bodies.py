@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -220,6 +220,42 @@ def support(body, theta: float, tie_tol: float = 0.0) -> SupportEval:
     return SupportEval(float(value), contact, kind)
 
 
+def _support_cs(body):
+    """(c, s) -> float(support_dir(body, Point(c, s))[0]) for float c, s."""
+    if isinstance(body, PointBody):
+        x, y = as_float_point(body.point)
+        return lambda c, s: x * c + y * s
+    if isinstance(body, PolygonBody):
+        verts = [as_float_point(v) for v in body.poly.vertices]
+        return lambda c, s: max([x * c + y * s for x, y in verts])
+    if isinstance(body, Disk):
+        (x, y), r = as_float_point(body.center), float(body.radius)
+        return lambda c, s: x * c + y * s + r * math.hypot(c, s)
+    if isinstance(body, Ellipse):
+        (x, y), (u, v) = as_float_point(body.center), body.axes
+        a2, b2 = float(body.a) ** 2, float(body.b) ** 2
+
+        def ellipse(c, s):
+            du = c * u.x + s * u.y
+            dv = c * v.x + s * v.y
+            return x * c + y * s + math.sqrt(a2 * du * du + b2 * dv * dv)
+        return ellipse
+    if isinstance(body, HullBody):
+        parts = [_support_cs(p) for p in body.parts]
+        return lambda c, s: max([h(c, s) for h in parts])
+    raise TypeError(type(body))
+
+
+def support_fn(body):
+    """theta -> support(body, theta).value, bit for bit, without contacts.
+
+    The body's floats are taken once; each call does the float operations
+    of support() in the same order.
+    """
+    h = _support_cs(body)
+    return lambda t: h(math.cos(t), math.sin(t))
+
+
 def support_batch(body, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
     """Vectorized support values over unit directions."""
     if isinstance(body, PointBody):
@@ -241,6 +277,32 @@ def support_batch(body, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
     if isinstance(body, HullBody):
         return np.maximum.reduce([support_batch(p, cos_t, sin_t) for p in body.parts])
     raise TypeError(type(body))
+
+
+@cache
+def grid_dirs(n: int):
+    """(thetas, cos, sin) of the n-point angle grid linspace(0, 2*pi, n, endpoint=False)."""
+    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    out = (thetas, np.cos(thetas), np.sin(thetas))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def support_grid(body, n: int) -> np.ndarray:
+    """support_batch over grid_dirs(n), evaluated once per body and kept on it.
+
+    A hull's grid is the maximum of its parts' grids, as in support_batch.
+    """
+    grids = body.__dict__.setdefault("_support_grids", {})
+    if n not in grids:
+        if isinstance(body, HullBody):
+            h = np.maximum.reduce([support_grid(p, n) for p in body.parts])
+        else:
+            h = support_batch(body, *grid_dirs(n)[1:])
+        h.setflags(write=False)
+        grids[n] = h
+    return grids[n]
 
 
 def supporting_line(body, theta: float) -> HalfPlane:
@@ -274,10 +336,8 @@ def body_contains_point(body, p: Point, eps: float = 0.0) -> bool:
             hull = convex_hull(polygonal_vertices(body))
             return point_in_polygon(p, hull, eps)
         # p in hull iff no direction separates p from the max support
-        thetas = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-        ct, st_ = np.cos(thetas), np.sin(thetas)
-        h = support_batch(body, ct, st_)
-        vals = float(p.x) * ct + float(p.y) * st_ - h
+        _, ct, st_ = grid_dirs(1024)
+        vals = float(p.x) * ct + float(p.y) * st_ - support_grid(body, 1024)
         scale = 1.0 + max(origin_radius(body), float(Point(p[0], p[1]).linf()))
         return bool(np.max(vals) <= eps * scale)
     raise TypeError(type(body))
@@ -318,14 +378,6 @@ def golden_min(fn, a: float, b: float, tol: float = 1e-12):
 
 
 GRID_THETA = 4096  # start grid for smooth containment minimization
-
-
-def _hull_support(outer, extra, theta: float) -> float:
-    h = support(outer, theta).value if outer is not None else -math.inf
-    n = unit(theta)
-    for p in extra:
-        h = max(h, float(dot(p, n)))
-    return h
 
 
 def contained_in_hull(inner, outer, extra: Sequence[Point] = (),
@@ -413,25 +465,28 @@ def _worst_edge_direction(p, hull, inner):
     else:
         d = fp - as_float_point(hull.vertices[0])
         theta = math.atan2(d.y, d.x)
-    h_hull = _hull_support(None, hull.vertices, theta)
+    n = unit(theta)
+    h_hull = max(float(dot(v, n)) for v in hull.vertices)
     h_inner = support(inner, theta).value
     return theta, h_hull - h_inner
 
 
 def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    ct, st_ = np.cos(thetas), np.sin(thetas)
-    h_hull = support_batch(outer, ct, st_)
+    thetas, ct, st_ = grid_dirs(n_theta)
+    h_hull = support_grid(outer, n_theta)
     for p in extra:
         fp = as_float_point(p)
         h_hull = np.maximum(h_hull, fp.x * ct + fp.y * st_)
-    f = h_hull - support_batch(inner, ct, st_)
+    f = h_hull - support_grid(inner, n_theta)
 
     scale = 1.0 + max(origin_radius(outer), origin_radius(inner),
                       max((p.linf() for p in extra), default=0.0))
 
+    h_hull_fn = support_fn(HullBody((outer, *map(PointBody, extra))))
+    h_inner_fn = support_fn(inner)
+
     def fval(theta):
-        return _hull_support(outer, extra, theta) - support(inner, theta).value
+        return h_hull_fn(theta) - h_inner_fn(theta)
 
     left = np.roll(f, 1)
     right = np.roll(f, -1)

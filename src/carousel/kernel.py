@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyInput, InvalidPolygon
@@ -142,12 +143,6 @@ class HalfPlane:
     def unit_offset(self) -> float:
         return float(self.c) / norm(Point(self.nx, self.ny))
 
-    def boundary_point(self) -> Point:
-        """Some point on the boundary line (float)."""
-        n2 = float(self.nx) ** 2 + float(self.ny) ** 2
-        k = float(self.c) / n2
-        return Point(float(self.nx) * k, float(self.ny) * k)
-
 
 # ---------------------------------------------------------------------------
 # polygons
@@ -157,7 +152,9 @@ class ConvexPolygon:
     """Counterclockwise strictly convex vertex cycle.
 
     One vertex is a point, two are a segment; three or more must make
-    exclusively left turns (no duplicates, no three collinear).
+    exclusively left turns (no duplicates, no three collinear).  The float
+    twin, the edge half-planes, the perimeter and the cumulative lengths
+    are computed once per polygon and kept on it.
     """
 
     vertices: tuple
@@ -201,10 +198,16 @@ class ConvexPolygon:
     def outward_normal_angle(self, i: int) -> float:
         return angle_of(self.outward_normal(i))
 
+    @cached_property
+    def _edge_halfplanes(self) -> tuple:
+        out = []
+        for i in range(self.n):
+            nrm = self.outward_normal(i)
+            out.append(HalfPlane(nrm.x, nrm.y, dot(nrm, self.vertices[i])))
+        return tuple(out)
+
     def edge_halfplane(self, i: int) -> HalfPlane:
-        nrm = self.outward_normal(i)
-        a, _ = self.edge(i)
-        return HalfPlane(nrm.x, nrm.y, dot(nrm, a))
+        return self._edge_halfplanes[i % self.n]
 
     def signed_area2(self) -> Scalar:
         v = self.vertices
@@ -218,7 +221,7 @@ class ConvexPolygon:
     def area(self) -> float:
         return float(self.signed_area2()) / 2.0
 
-    @property
+    @cached_property
     def perimeter(self) -> float:
         v = self.vertices
         if len(v) == 1:
@@ -237,34 +240,27 @@ class ConvexPolygon:
         return max(p.linf() for p in self.vertices)
 
     def as_float(self) -> "ConvexPolygon":
+        return self._float_twin
+
+    @cached_property
+    def _float_twin(self) -> "ConvexPolygon":
         return ConvexPolygon(tuple(as_float_point(p) for p in self.vertices))
 
     # boundary arc-length parametrization (float, ccw, zero at vertex 0)
-    def cumulative_lengths(self):
+    def cumulative_lengths(self) -> tuple:
+        return self._cumulative_lengths
+
+    @cached_property
+    def _cumulative_lengths(self) -> tuple:
         out = [0.0]
         for i in range(self.n):
             out.append(out[-1] + norm(self.edge_vector(i)))
-        return out
+        return tuple(out)
 
     def boundary_param(self, p: Point, edge_index: int) -> float:
         cum = self.cumulative_lengths()
         a, _ = self.edge(edge_index)
         return cum[edge_index] + norm(as_float_point(p) - as_float_point(a))
-
-    def point_on_boundary(self, param: float) -> Point:
-        cum = self.cumulative_lengths()
-        total = cum[-1]
-        t = math.fmod(param, total)
-        if t < 0:
-            t += total
-        for i in range(self.n):
-            if t <= cum[i + 1] or i == self.n - 1:
-                a, b = self.edge(i)
-                seg = cum[i + 1] - cum[i]
-                frac = 0.0 if seg == 0.0 else (t - cum[i]) / seg
-                fa, fb = as_float_point(a), as_float_point(b)
-                return Point(fa.x + frac * (fb.x - fa.x), fa.y + frac * (fb.y - fa.y))
-        raise AssertionError("unreachable")
 
 
 def convex_hull(points: Sequence[Point]) -> ConvexPolygon:

@@ -25,7 +25,6 @@ from .bodies import (
     ContainmentResult,
     HullBody,
     PolygonBody,
-    bodies_overlap,
     body_in_polygon,
     contained_in_hull,
     is_polygonal,
@@ -111,9 +110,6 @@ class Scene:
             if not body_in_polygon(body, self.container, eps):
                 raise SceneInvariantError(f"{name} is not inside the container")
         return self
-
-    def overlapping(self) -> bool:
-        return bodies_overlap(self.a0, self.a1, self.tol.eps)
 
 
 @dataclass(frozen=True)
@@ -532,7 +528,7 @@ def verify_scene(scene: Scene) -> dict:
     rec = {
         "s": None, "csl_kind": None, "degenerate": False,
         "degenerate_reason": None, "verdict": None, "i": None, "j": None,
-        "fragile": False, "overlap": False, "constructive_ok": None,
+        "fragile": False, "constructive_ok": None,
         "constructive_case": None, "cross_agree": None,
         "dichotomy_ok": None, "sweeps_ok": None, "error": None,
     }
@@ -552,7 +548,6 @@ def verify_scene(scene: Scene) -> dict:
                 # a sign excursion inside a gap means a near-tangential zero
                 # pair escaped the search; treat the scene as degenerate
                 rec.update(degenerate=True, degenerate_reason="mixed-sign-gap")
-        rec["overlap"] = scene.overlapping()
 
         brute = check_carousel_bruteforce(scene, csl)
         rec.update(verdict=brute.verdict, i=brute.i, j=brute.j, fragile=brute.fragile)

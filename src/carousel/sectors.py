@@ -32,6 +32,7 @@ from .bodies import (
     polygonal_vertices,
     support,
     support_batch,
+    support_fn,
     supporting_line,
 )
 from .errors import (
@@ -429,9 +430,10 @@ def _tangent_normals_smooth(body, g: Point, eps: float):
                 return None  # g inside a part, hence inside the hull
             candidates.extend(pair)
         tol = eps * (1.0 + max(origin_radius(body), fg.linf()))
+        h = support_fn(body)
         out = []
         for side in ("L", "R"):
-            excess, t = min((support(body, t).value - fg.x * math.cos(t)
+            excess, t = min((h(t) - fg.x * math.cos(t)
                              - fg.y * math.sin(t), t)
                             for t, s in candidates if s == side)
             if excess > tol:

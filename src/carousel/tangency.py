@@ -30,12 +30,15 @@ import numpy as np
 
 from .bodies import (
     golden_min,
+    grid_dirs,
     is_polygonal,
     origin_radius,
     polygonal_vertices,
     support,
     support_batch,
     support_dir,
+    support_fn,
+    support_grid,
 )
 from .kernel import (
     EPS,
@@ -346,14 +349,14 @@ def _refine_plateau_edge(dfun, inside_t: float, outside_t: float, thr: float) ->
 
 
 def _csl_sampled(a0, a1, eps: float):
-    thetas = np.linspace(0.0, TWO_PI, CSL_GRID, endpoint=False)
-    deltas = support_batch(a0, np.cos(thetas), np.sin(thetas)) \
-        - support_batch(a1, np.cos(thetas), np.sin(thetas))
+    thetas = grid_dirs(CSL_GRID)[0]
+    deltas = support_grid(a0, CSL_GRID) - support_grid(a1, CSL_GRID)
     scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
     thr = eps * scale
+    h0, h1 = support_fn(a0), support_fn(a1)
 
     def dfun(t: float) -> float:
-        return support_difference(a0, a1, t)
+        return h0(t) - h1(t)
 
     near = np.abs(deltas) <= thr
     if bool(np.all(near)):
@@ -506,23 +509,4 @@ def mixed_sign_gaps(a0, a1, csl: CslLines, probes: int = 512,
         has_neg = bool(np.any(chunk < -thr))
         if has_pos and has_neg:
             out.append(pair.index)
-    return out
-
-
-def gap_sign_profile(a0, a1, csl: CslLines, probes: int = 64, eps: float = EPS):
-    """Signs of the support difference inside each adjacency gap.
-
-    A mixed-sign gap means a zero was missed or touched tangentially;
-    callers flag such scenes as degenerate rather than reordering.
-    """
-    scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
-    out = []
-    for pair in adjacent_pairs(csl):
-        signs = set()
-        for k in range(1, probes + 1):
-            t = pair.line.normal - pair.delta * k / (probes + 1)
-            v = support_difference(a0, a1, t)
-            if abs(v) > eps * scale:
-                signs.add(1 if v > 0 else -1)
-        out.append(signs)
     return out

@@ -16,9 +16,12 @@ from carousel.bodies import (
     body_contains_point,
     body_in_polygon,
     contained_in_hull,
+    grid_dirs,
     origin_radius,
     support,
     support_batch,
+    support_fn,
+    support_grid,
     supporting_line,
 )
 from carousel.errors import InvalidBody
@@ -223,3 +226,48 @@ def test_body_in_polygon_fast_path():
 def test_bodies_overlap():
     assert bodies_overlap(Disk(Point(0.0, 0.0), 1.0), Disk(Point(1.0, 0.0), 0.5))
     assert not bodies_overlap(Disk(Point(0.0, 0.0), 1.0), Disk(Point(3.0, 0.0), 0.5))
+
+
+def _mixed_bodies(rng):
+    """Points, polygons, disks, ellipses and nested hulls; int, Fraction and
+    float coordinates."""
+    def coord():
+        return rng.choice((rng.randint(-9, 9), F(rng.randint(-90, 90), rng.randint(1, 9)),
+                           rng.uniform(-9.0, 9.0)))
+
+    pt = PointBody(Point(coord(), coord()))
+    poly = PolygonBody(convex_hull([Point(coord(), coord())
+                                    for _ in range(rng.randint(1, 8))]))
+    disk = Disk(Point(coord(), coord()), rng.choice((rng.randint(1, 4), F(7, 3), 0.3)))
+    b = rng.choice((1, F(1, 2), rng.uniform(0.01, 1.0)))
+    ellipse = Ellipse(Point(coord(), coord()), b + rng.choice((0, 1, F(5, 2))),
+                      b, rng.uniform(-4.0, 4.0))
+    inner_hull = HullBody((ellipse, pt))
+    return [pt, poly, disk, ellipse, inner_hull, HullBody((disk, inner_hull, poly))]
+
+
+def test_support_fn_is_bit_identical_to_support():
+    rng = random.Random(2026)
+    checked = 0
+    for _ in range(40):
+        for body in _mixed_bodies(rng):
+            fn = support_fn(body)
+            angles = [rng.uniform(-10.0, 10.0) for _ in range(8)]
+            angles += [0.0, math.pi / 2, math.pi, -math.pi / 4]
+            for t in angles:
+                assert fn(t) == support(body, t).value
+                checked += 1
+    assert checked >= 2000
+
+
+def test_support_grids_are_memoized_and_equal_fresh_batches():
+    rng = random.Random(7411)
+    for _ in range(10):
+        for body in _mixed_bodies(rng):
+            for n in (1024, 4096):
+                thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+                grid = support_grid(body, n)
+                assert support_grid(body, n) is grid
+                assert np.array_equal(grid_dirs(n)[0], thetas)
+                assert np.array_equal(grid, support_batch(body, np.cos(thetas),
+                                                          np.sin(thetas)))

@@ -207,15 +207,48 @@ def test_halfplane_geometry():
     assert hp.contains(Point(0.0, 0.5))
     assert not hp.contains(Point(0.0, 1.5))
     assert math.isclose(hp.unit_offset, 1.0)
-    b = hp.boundary_point()
-    assert math.isclose(b.y, 1.0)
 
 
 def test_boundary_param_roundtrip():
     sq = UNIT_SQUARE.as_float()
+    cum = sq.cumulative_lengths()
     for param in (0.0, 0.5, 1.0, 2.25, 3.9):
-        p = sq.point_on_boundary(param)
+        i = max(k for k in range(sq.n) if cum[k] <= param)
+        a, b = sq.edge(i)
+        frac = (param - cum[i]) / (cum[i + 1] - cum[i])
+        p = Point(a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
         assert point_in_polygon(p, sq, 1e-12)
+        assert math.isclose(sq.boundary_param(p, i), param, abs_tol=1e-12)
+
+
+def test_polygon_caches_equal_fresh_values():
+    rng = random.Random(11)
+    polys = [UNIT_SQUARE]
+    for _ in range(40):
+        pts = [Point(F(rng.randint(-90, 90), rng.randint(1, 7)), rng.randint(-50, 50))
+               for _ in range(rng.randint(1, 9))]
+        polys.append(convex_hull(pts))
+        polys.append(convex_hull([Point(float(x), float(y)) for x, y in pts]))
+    for poly in polys:
+        v = poly.vertices
+        n = len(v)
+        twin = poly.as_float()
+        assert twin is poly.as_float()
+        assert twin.vertices == tuple(Point(float(p.x), float(p.y)) for p in v)
+        assert all(isinstance(c, float) for p in twin.vertices for c in p)
+        cum = [0.0]
+        for i in range(n):
+            d = v[(i + 1) % n] - v[i]
+            cum.append(cum[-1] + math.hypot(float(d.x), float(d.y)))
+        assert list(poly.cumulative_lengths()) == cum
+        perimeter = 0.0 if n == 1 else \
+            sum(math.hypot(float((v[(i + 1) % n] - v[i]).x),
+                           float((v[(i + 1) % n] - v[i]).y)) for i in range(n))
+        assert poly.perimeter == perimeter
+        for i in range(-1, n + 1):
+            a, b = v[i % n], v[(i + 1) % n]
+            nrm = Point(b.y - a.y, a.x - b.x)
+            assert poly.edge_halfplane(i) == HalfPlane(nrm.x, nrm.y, dot(nrm, a))
 
 
 def test_unit_dot():

@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from carousel import bodies, sectors, tangency
 from carousel.bodies import Disk, Ellipse, PointBody, PolygonBody, contained_in_hull
 from carousel.errors import (
     CommonLineCountTooLarge,
@@ -269,3 +272,35 @@ def test_cross_validate_revalidation_is_fresh_containment():
         assert report.revalidation == fresh
         checked += 1
     assert checked >= 50
+
+
+def test_verify_scene_evaluates_each_support_grid_once(monkeypatch):
+    grid_cos = np.cos(np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+    calls = Counter()
+    real = bodies.support_batch
+
+    def counting(body, cos_t, sin_t):
+        if np.array_equal(cos_t, grid_cos):
+            calls[id(body)] += 1
+        return real(body, cos_t, sin_t)
+
+    for module in (bodies, tangency, sectors, rule):
+        if hasattr(module, "support_batch"):
+            monkeypatch.setattr(module, "support_batch", counting)
+
+    def scene_bodies(body):
+        yield body
+        for part in getattr(body, "parts", ()):
+            yield from scene_bodies(part)
+
+    cfg = FuzzConfig(seed=2026)
+    evaluated = 0
+    for k in range(40):
+        scene = generate_fuzz_scene(cfg, k)
+        calls.clear()
+        rec = verify_scene(scene)
+        assert rec["error"] is None
+        for body in (*scene_bodies(scene.a0), *scene_bodies(scene.a1)):
+            assert calls[id(body)] <= 1
+        evaluated += sum(calls.values())
+    assert evaluated > 0

@@ -13,8 +13,8 @@ from carousel.tangency import (
     adjacency_gaps,
     adjacent_pairs,
     common_supporting_lines,
-    gap_sign_profile,
     make_support_line,
+    mixed_sign_gaps,
     slide_turn,
     support_difference,
 )
@@ -253,9 +253,11 @@ def test_gap_sign_profile_alternates_generic():
     a0 = Disk(Point(0.0, 0.0), 1.0)
     a1 = Disk(Point(3.0, 1.0), 0.5)
     res = common_supporting_lines(a0, a1)
-    profile = gap_sign_profile(a0, a1, res)
-    assert all(len(s) == 1 for s in profile)
-    assert {next(iter(s)) for s in profile} == {1, -1}
+    assert mixed_sign_gaps(a0, a1, res) == []
+    mids = [support_difference(a0, a1, p.line.normal - p.delta / 2)
+            for p in adjacent_pairs(res)]
+    assert len(mids) == 2 and all(abs(d) > 1e-3 for d in mids)
+    assert all((d > 0) != (prev > 0) for prev, d in zip(mids[-1:] + mids[:-1], mids))
 
 
 def test_dirs_left_right():
