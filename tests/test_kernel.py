@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -236,15 +236,10 @@ def test_polygon_caches_equal_fresh_values():
         assert twin is poly.as_float()
         assert twin.vertices == tuple(Point(float(p.x), float(p.y)) for p in v)
         assert all(isinstance(c, float) for p in twin.vertices for c in p)
-        cum = [0.0]
-        for i in range(n):
-            d = v[(i + 1) % n] - v[i]
-            cum.append(cum[-1] + math.hypot(float(d.x), float(d.y)))
-        assert list(poly.cumulative_lengths()) == cum
-        perimeter = 0.0 if n == 1 else \
-            sum(math.hypot(float((v[(i + 1) % n] - v[i]).x),
-                           float((v[(i + 1) % n] - v[i]).y)) for i in range(n))
-        assert poly.perimeter == perimeter
+        lengths = [math.hypot(float(v[(i + 1) % n].x - v[i].x),
+                              float(v[(i + 1) % n].y - v[i].y)) for i in range(n)]
+        assert list(poly.cumulative_lengths()) == list(accumulate(lengths, initial=0.0))
+        assert poly.perimeter == (0.0 if n == 1 else sum(lengths))
         for i in range(-1, n + 1):
             a, b = v[i % n], v[(i + 1) % n]
             nrm = Point(b.y - a.y, a.x - b.x)
