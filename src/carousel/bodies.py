@@ -32,6 +32,7 @@ from .kernel import (
     convex_hull,
     dot,
     norm,
+    point_array,
     point_in_polygon,
     unit,
 )
@@ -405,14 +406,10 @@ def _all_rational(points) -> bool:
 def _contained_in_polygonal_hull(inner, pts, eps):
     hull = convex_hull(pts)
     if is_polygonal(inner):
-        exact = _all_rational(hull.vertices) and _all_rational(polygonal_vertices(inner))
-        tol = 0.0 if exact else eps
-        worst = None
-        for v in polygonal_vertices(inner):
-            if not point_in_polygon(v, hull, tol):
-                worst = v
-                break
-        margin = _polygon_hull_margin(inner, hull)
+        verts = polygonal_vertices(inner)
+        exact = _all_rational(hull.vertices) and _all_rational(verts)
+        worst = _first_escaped(verts, hull, 0.0 if exact else eps)
+        margin = _polygon_hull_margin(verts, hull)
         if worst is None:
             return ContainmentResult(True, margin)
         theta, m = _worst_edge_direction(worst, hull, inner)
@@ -436,34 +433,47 @@ def _contained_in_polygonal_hull(inner, pts, eps):
     return _contained_in_smooth_hull(inner, PolygonBody(hull), (), eps, 2048)
 
 
-def _polygon_hull_margin(inner, hull):
-    """Min over inner vertices of the worst edge slack (float, unit normals)."""
+def _first_escaped(verts, hull, tol):
+    """First of verts that point_in_polygon(v, hull, tol) puts outside the hull;
+    for 3 or more hull vertices, one array pass with its operations in order."""
+    if hull.n < 3:
+        return next((v for v in verts if not point_in_polygon(v, hull, tol)), None)
+    a = point_array(hull.vertices)
+    b = np.concatenate((a[1:], a[:1]))
+    p = point_array(verts)
+    c = (b[:, 0] - a[:, 0]) * (p[:, 1:] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[:, :1] - a[:, 0])
+    if tol == 0.0:
+        out = c < 0
+    else:
+        la, lp = (np.max(np.abs(x.astype(float)), axis=1) for x in (a, p))
+        lim = np.maximum(np.maximum(la, np.concatenate((la[1:], la[:1]))), lp[:, None])
+        out = c.astype(float) < -(tol * (1.0 + lim) * hull.edge_arrays[4])
+    bad = np.flatnonzero(out.any(axis=1))
+    return verts[bad[0]] if len(bad) else None
+
+
+def _edge_slacks(points, hull):
+    """(point x edge) matrix of float(hp.value(p)) / nl over the edge half-planes."""
+    nx, ny, c, nl, _ = hull.edge_arrays
+    p = point_array(points).astype(float)
+    return (p[:, :1] * nx + p[:, 1:] * ny - c) / nl
+
+
+def _polygon_hull_margin(verts, hull):
+    """Min over inner vertices of the worst edge slack (float, unit normals);
+    the first minimum in (vertex, edge) order keeps the sign of a zero."""
     if hull.n < 3:
         return 0.0
-    margin = math.inf
-    for v in polygonal_vertices(inner):
-        fv = as_float_point(v)
-        for i in range(hull.n):
-            hp = hull.edge_halfplane(i)
-            nl = norm(Point(hp.nx, hp.ny))
-            margin = min(margin, -float(hp.value(fv)) / nl)
-    return margin
+    flat = -_edge_slacks(verts, hull).ravel()
+    return float(flat[np.argmin(flat)])
 
 
 def _worst_edge_direction(p, hull, inner):
     """Most violated hull edge normal for escaped point p, with margin."""
-    fp = as_float_point(p)
     if hull.n >= 3:
-        best = None
-        for i in range(hull.n):
-            hp = hull.edge_halfplane(i)
-            nl = norm(Point(hp.nx, hp.ny))
-            viol = float(hp.value(fp)) / nl
-            if best is None or viol > best[1]:
-                best = (hp.normal_angle, viol)
-        theta = best[0]
+        theta = hull.edge_halfplane(int(np.argmax(_edge_slacks([p], hull)[0]))).normal_angle
     else:
-        d = fp - as_float_point(hull.vertices[0])
+        d = as_float_point(p) - as_float_point(hull.vertices[0])
         theta = math.atan2(d.y, d.x)
     n = unit(theta)
     h_hull = max(float(dot(v, n)) for v in hull.vertices)

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import EmptyInput, InvalidPolygon
 
 Scalar = Union[int, float, Fraction]
@@ -69,6 +71,13 @@ def norm(d: Point) -> float:
 
 def as_float_point(p: Point) -> Point:
     return Point(float(p.x), float(p.y))
+
+
+def point_array(points) -> np.ndarray:
+    """(n, 2) coordinate array: float64 when every coordinate is a float,
+    else dtype=object, whose elementwise arithmetic is Python's own."""
+    floats = all(isinstance(c, float) for p in points for c in p)
+    return np.array(points, dtype=float if floats else object)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,16 @@ class ConvexPolygon:
 
     def edge_halfplane(self, i: int) -> HalfPlane:
         return self._edge_halfplanes[i % self.n]
+
+    @cached_property
+    def edge_arrays(self) -> tuple:
+        """Read-only float arrays (nx, ny, c, nl, el) over the edge half-planes:
+        nl = norm((nx, ny)) and el = norm((-ny, nx)), the edge vector's norm."""
+        rows = [(float(hp.nx), float(hp.ny), float(hp.c)) for hp in self._edge_halfplanes]
+        out = np.array([(nx, ny, c, math.hypot(nx, ny), math.hypot(-ny, nx))
+                        for nx, ny, c in rows]).T
+        out.setflags(write=False)
+        return tuple(out)
 
     def signed_area2(self) -> Scalar:
         v = self.vertices

@@ -49,9 +49,9 @@ from .kernel import (
 )
 from .sectors import (
     NormalArc,
+    _sweep,
     boundary_exit,
     sector_from_arc,
-    sweep,
     vertex_hit_events,
     vertices_between,
 )
@@ -499,9 +499,9 @@ def sweep_partition_ok(scene: Scene, csl: CslLines, rel_tol: float = 1e-6) -> bo
     g = scene.container
     perim = g.as_float().perimeter
     pairs = adjacent_pairs(csl)
-    sweeps = {}
-    for pair in pairs:
-        sweeps[pair.index] = sweep(pair.line, pair.cw_next, hull, g, "L", scene.tol.eps)
+    exits = {}  # each line ends one sweep and starts the next
+    sweeps = {p.index: _sweep(p.line, p.cw_next, hull, g, "L", scene.tol.eps, exits)
+              for p in pairs}
     total = sum(s.cw_length for s in sweeps.values())
     if abs(total - perim) > rel_tol * perim:
         return False

@@ -321,14 +321,23 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
     between the two endpoints).  The same line passed twice means a full
     turn and the sweep covers everything.
     """
+    return _sweep(l_from, l_to, body, container, side, eps, {})
+
+
+def _sweep(l_from, l_to, body, container, side, eps, exits: dict) -> BoundarySweep:
+    """sweep() keeping each line's side exit in exits, so that the sweeps
+    meeting at a line compute its exit once."""
     tol = max(eps, 1e-9) * (1.0 + origin_radius(body)) * 100.0
     for line in (l_from, l_to):
         if abs(support(body, line.normal).value - line.offset) > tol:
             raise LineSupportMismatch(
                 f"line at normal {line.normal} does not support the sweep body")
-    start = boundary_exit(l_from, container, side, eps)
     full = l_from is l_to or cw_gap(l_from.normal, l_to.normal) <= EPS_ANGLE
-    end = start if full else boundary_exit(l_to, container, side, eps)
+    for line in (l_from,) if full else (l_from, l_to):
+        if line not in exits:
+            exits[line] = boundary_exit(line, container, side, eps)
+    start = exits[l_from]
+    end = start if full else exits[l_to]
     fc = container.as_float()
     perim = fc.perimeter
     cum = fc.cumulative_lengths()

@@ -36,7 +36,6 @@ from .bodies import (
     polygonal_vertices,
     support,
     support_batch,
-    support_dir,
     support_fn,
     support_grid,
 )
@@ -47,6 +46,7 @@ from .kernel import (
     Point,
     angle_of,
     cw_gap,
+    point_array,
     unit,
     wrap_angle,
 )
@@ -110,10 +110,6 @@ class CslIdentical:
 
 def support_difference(a0, a1, theta: float) -> float:
     return support(a0, theta).value - support(a1, theta).value
-
-
-def support_difference_dir(a0, a1, d: Point):
-    return support_dir(a0, d)[0] - support_dir(a1, d)[0]
 
 
 def make_line(a0, a1, theta: float) -> OrientedSupportLine:
@@ -234,30 +230,35 @@ def _candidate_directions(a0, a1):
     return [d for _, d in seen], False
 
 
+def _zero_pattern(a0, a1, dirs, rational, eps):
+    """zero_at per candidate ray, gap_zero and gap_sign per gap probe, from
+    h0 - h1 at all of them in one array pass with support_dir's arithmetic."""
+    m = len(dirs)
+    probes = [_gap_probe(dirs[i], dirs[(i + 1) % m]) for i in range(m)] if m > 1 \
+        else [Point(-dirs[0].y, dirs[0].x)]
+    d = point_array(dirs + probes)
+
+    def h(body):
+        v = point_array(polygonal_vertices(body))
+        return np.max(v[:, :1] * d[:, 0] + v[:, 1:] * d[:, 1], axis=0)
+
+    dv = h(a0) - h(a1)
+    if rational:
+        zero = dv == 0
+    else:
+        scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
+        n = np.array([math.hypot(float(x), float(y)) for x, y in dirs + probes])
+        zero = np.abs(dv.astype(float)) <= eps * scale * n
+    sign = np.where(zero, 0, np.where(dv > 0, 1, -1))
+    return zero[:m].tolist(), zero[m:].tolist(), sign[m:].tolist()
+
+
 def _csl_polygonal(a0, a1, eps: float):
     dirs, rational = _candidate_directions(a0, a1)
     if not dirs:
         # both bodies are the same single point
         return CslIdentical()
-    scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
-
-    def is_zero(d: Point, value) -> bool:
-        if rational:
-            return value == 0
-        n = math.hypot(float(d.x), float(d.y))
-        return abs(float(value)) <= eps * scale * n
-
-    m = len(dirs)
-    zero_at = [is_zero(d, support_difference_dir(a0, a1, d)) for d in dirs]
-    gap_zero = []
-    gap_sign = []
-    for i in range(m):
-        probe = _gap_probe(dirs[i], dirs[(i + 1) % m]) if m > 1 else Point(-dirs[0].y, dirs[0].x)
-        dv = support_difference_dir(a0, a1, probe)
-        gz = is_zero(probe, dv)
-        gap_zero.append(gz)
-        gap_sign.append(0 if gz else (1 if dv > 0 else -1))
-
+    zero_at, gap_zero, gap_sign = _zero_pattern(a0, a1, dirs, rational, eps)
     if all(zero_at) and all(gap_zero):
         return CslIdentical()
 
@@ -267,7 +268,7 @@ def _csl_polygonal(a0, a1, eps: float):
     lines = []
     notes = []
     degenerate = False
-    for i in range(m):
+    for i in range(len(dirs)):
         if not zero_at[i]:
             continue
         theta = angle_of(dirs[i])

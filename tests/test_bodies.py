@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from carousel import bodies
 from carousel.bodies import (
     ContainmentResult,
     Disk,
@@ -25,7 +27,18 @@ from carousel.bodies import (
     supporting_line,
 )
 from carousel.errors import InvalidBody
-from carousel.kernel import ConvexPolygon, Point, circ_dist, convex_hull, unit
+from carousel.kernel import (
+    ConvexPolygon,
+    HalfPlane,
+    Point,
+    as_float_point,
+    circ_dist,
+    convex_hull,
+    dot,
+    norm,
+    point_in_polygon,
+    unit,
+)
 
 F = Fraction
 
@@ -271,3 +284,145 @@ def test_support_grids_are_memoized_and_equal_fresh_batches():
                 assert np.array_equal(grid_dirs(n)[0], thetas)
                 assert np.array_equal(grid, support_batch(body, np.cos(thetas),
                                                           np.sin(thetas)))
+
+
+# The scalar loops that the array passes of polygonal containment replaced,
+# kept as the reference: outputs must agree to the bit, zero signs included.
+
+def _oracle_first_escaped(verts, hull, tol):
+    for v in verts:
+        if not point_in_polygon(v, hull, tol):
+            return v
+    return None
+
+
+def _oracle_hull_margin(verts, hull):
+    if hull.n < 3:
+        return 0.0
+    margin = math.inf
+    for v in verts:
+        fv = as_float_point(v)
+        for i in range(hull.n):
+            hp = hull.edge_halfplane(i)
+            nl = norm(Point(hp.nx, hp.ny))
+            margin = min(margin, -float(hp.value(fv)) / nl)
+    return margin
+
+
+def _oracle_worst_edge_direction(p, hull, inner):
+    fp = as_float_point(p)
+    if hull.n >= 3:
+        best = None
+        for i in range(hull.n):
+            hp = hull.edge_halfplane(i)
+            nl = norm(Point(hp.nx, hp.ny))
+            viol = float(hp.value(fp)) / nl
+            if best is None or viol > best[1]:
+                best = (hp.normal_angle, viol)
+        theta = best[0]
+    else:
+        d = fp - as_float_point(hull.vertices[0])
+        theta = math.atan2(d.y, d.x)
+    n = unit(theta)
+    h_hull = max(float(dot(v, n)) for v in hull.vertices)
+    h_inner = support(inner, theta).value
+    return theta, h_hull - h_inner
+
+
+def _hull_case(rng):
+    """(inner vertices, hull) over int, Fraction, float or mixed coordinates.
+
+    Inner points fall inside, outside, at hull vertices and on hull edges, so
+    zero slacks, zero margins and ties between edges all occur.
+    """
+    def coord(kind):
+        if kind == "int":
+            return rng.randint(-6, 6)
+        if kind == "fraction":
+            return F(rng.randint(-60, 60), rng.randint(1, 7))
+        return rng.choice((rng.uniform(-6.0, 6.0), float(rng.randint(-6, 6))))
+
+    kinds = ("int", "fraction", "float")
+    hull_kind, inner_kind = rng.choice(kinds), rng.choice(kinds)
+    if rng.random() < 0.6:
+        inner_kind = hull_kind
+    hull = convex_hull([Point(coord(hull_kind), coord(hull_kind))
+                        for _ in range(rng.randint(1, 9))])
+    verts = []
+    for _ in range(rng.randint(1, 7)):
+        r = rng.random()
+        if r < 0.25:
+            verts.append(rng.choice(hull.vertices))
+        elif r < 0.55:
+            a, b = hull.edge(rng.randrange(hull.n))
+            t = rng.choice((F(1, 2), F(1, 3), F(3, 4)))
+            if hull_kind == "float":
+                t = float(t)
+            verts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+        elif r < 0.7 and hull.n >= 3:
+            # just outside an edge, about as far as the 1e-3 tolerance reaches
+            i = rng.randrange(hull.n)
+            a, _ = hull.edge(i)
+            hp = hull.edge_halfplane(i)
+            push = rng.uniform(0.0, 2e-3) * (1.0 + hull.max_coord()) / norm(Point(hp.nx, hp.ny))
+            verts.append(Point(float(a.x) + push * float(hp.nx), float(a.y) + push * float(hp.ny)))
+        else:
+            verts.append(Point(coord(inner_kind), coord(inner_kind)))
+    return verts, hull
+
+
+def _signed_zero_cases():
+    """The origin lies on the edge from (-3, 6) to (1, -2), whose slack there
+    is -0.0, so its margin +0.0 comes before the -0.0 margins of (1, -2)."""
+    for num in (int, float):
+        yield ([Point(num(0), num(0)), Point(num(1), num(-2))],
+               convex_hull([Point(num(x), num(y)) for x, y in ((-3, 6), (1, -2), (3, -5), (4, 5))]))
+
+
+def test_polygonal_containment_kernels_match_scalar_oracles():
+    rng = random.Random(2026)
+    seen = Counter()
+    cases = [*_signed_zero_cases(), *(_hull_case(rng) for _ in range(2000))]
+    for verts, hull in cases:
+        for tol in (0.0, 1e-9, 1e-3):
+            got = bodies._first_escaped(verts, hull, tol)
+            assert repr(got) == repr(_oracle_first_escaped(verts, hull, tol))
+            seen["escaped" if got is not None else "inside"] += 1
+        margin = bodies._polygon_hull_margin(verts, hull)
+        assert repr(margin) == repr(_oracle_hull_margin(verts, hull))
+        seen["zero margin"] += margin == 0.0
+        seen["negative zero margin"] += repr(margin) == "-0.0"
+        inner = HullBody(tuple(PointBody(v) for v in verts))
+        for p in verts:
+            assert repr(bodies._worst_edge_direction(p, hull, inner)) \
+                == repr(_oracle_worst_edge_direction(p, hull, inner))
+            if hull.n >= 3:
+                slacks = bodies._edge_slacks([p], hull)[0]
+                seen["worst edge tie"] += int(np.sum(slacks == slacks.max()) > 1)
+        seen["cases"] += 1
+    assert seen["cases"] >= 2000
+    assert min(seen.values()) > 50, seen
+
+
+def test_polygonal_containment_skips_scalar_kernels(monkeypatch):
+    calls = Counter()
+    real_pip, real_value = bodies.point_in_polygon, HalfPlane.value
+
+    def counting_pip(*args, **kwargs):
+        calls["point_in_polygon"] += 1
+        return real_pip(*args, **kwargs)
+
+    def counting_value(self, p):
+        calls["HalfPlane.value"] += 1
+        return real_value(self, p)
+
+    monkeypatch.setattr(bodies, "point_in_polygon", counting_pip)
+    monkeypatch.setattr(HalfPlane, "value", counting_value)
+    outer = square(-1.0, 1.0)
+    got = [contained_in_hull(square(-0.5, 0.5), outer).contained,
+           contained_in_hull(square(0.5, 1.5), outer).contained,
+           contained_in_hull(square(0.5, 1.5), outer, [Point(3.0, 3.0)]).contained,
+           contained_in_hull(square(0.5, 1.5), None, [Point(-1.0, -1.0), Point(2.0, 0.0),
+                                                      Point(0.0, 2.0)]).contained]
+    assert got == [True, False, True, False]
+    assert calls == Counter()

@@ -58,6 +58,12 @@ def test_sharpness_validate_n4():
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sharpness_family_at_larger_n():
+    for n in (16, 24, 32, 48, 64):
+        report = sharpness_validate(sharpness_construct(n))
+        assert report.ok, (n, report.details)
+
+
 def test_sharpness_validate_n6_value():
     report = sharpness_validate(sharpness_construct(6))
     assert report.ok, report.details

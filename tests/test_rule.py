@@ -304,3 +304,28 @@ def test_verify_scene_evaluates_each_support_grid_once(monkeypatch):
             assert calls[id(body)] <= 1
         evaluated += sum(calls.values())
     assert evaluated > 0
+
+
+def test_sweep_partition_computes_each_line_exit_once(monkeypatch):
+    calls = []
+    real = sectors.boundary_exit
+
+    def counting(line, *args, **kwargs):
+        calls.append(line)
+        return real(line, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "boundary_exit", counting)
+    cfg = FuzzConfig(seed=2026)
+    scenes = [Scene(Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4), BIG_SQUARE)]
+    scenes += [generate_fuzz_scene(cfg, k) for k in range(40)]
+    checked = 0
+    for scene in scenes:
+        rec = verify_scene(scene)
+        if not (rec["sweeps_ok"] and rec["s"] >= 2):
+            continue
+        csl = scene_csl(scene)
+        calls.clear()
+        assert sweep_partition_ok(scene, csl)
+        assert len(calls) == csl.count
+        checked += 1
+    assert checked >= 5

@@ -1,11 +1,22 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from carousel.bodies import Disk, Ellipse, PointBody, PolygonBody, support
-from carousel.kernel import ConvexPolygon, Point, TWO_PI, circ_dist, unit, wrap_angle
+from carousel import tangency
+from carousel.bodies import (
+    Disk,
+    Ellipse,
+    HullBody,
+    PointBody,
+    PolygonBody,
+    origin_radius,
+    support,
+    support_dir,
+)
+from carousel.kernel import ConvexPolygon, Point, TWO_PI, circ_dist, convex_hull, unit, wrap_angle
 from carousel.tangency import (
     CslArcs,
     CslIdentical,
@@ -264,3 +275,87 @@ def test_dirs_left_right():
     line = make_support_line(Disk(Point(0.0, 0.0), 1.0), math.pi / 2)
     assert circ_dist(line.dir_left, math.pi) < 1e-12
     assert circ_dist(line.dir_right, 0.0) < 1e-12
+
+
+def _oracle_zero_pattern(a0, a1, dirs, rational, eps):
+    """The scalar loops of _csl_polygonal that the array pass replaced."""
+    scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
+
+    def is_zero(d, value):
+        if rational:
+            return value == 0
+        n = math.hypot(float(d.x), float(d.y))
+        return abs(float(value)) <= eps * scale * n
+
+    def difference(d):
+        return support_dir(a0, d)[0] - support_dir(a1, d)[0]
+
+    m = len(dirs)
+    zero_at = [is_zero(d, difference(d)) for d in dirs]
+    gap_zero = []
+    gap_sign = []
+    for i in range(m):
+        probe = tangency._gap_probe(dirs[i], dirs[(i + 1) % m]) if m > 1 \
+            else Point(-dirs[0].y, dirs[0].x)
+        dv = difference(probe)
+        gz = is_zero(probe, dv)
+        gap_zero.append(gz)
+        gap_sign.append(0 if gz else (1 if dv > 0 else -1))
+    return zero_at, gap_zero, gap_sign
+
+
+def _polygonal_pair(rng):
+    """Point, polygon and hull bodies over int, Fraction, float or mixed
+    coordinates.  The second body often takes vertices and edge midpoints of
+    the first, so zero candidates, zero gaps and tangential zeros all occur."""
+    def coord(kind):
+        if kind == "int":
+            return rng.randint(-5, 5)
+        if kind == "fraction":
+            return F(rng.randint(-50, 50), rng.randint(1, 6))
+        return rng.choice((rng.uniform(-5.0, 5.0), float(rng.randint(-5, 5))))
+
+    def body(kind, shared):
+        pts = [Point(coord(kind), coord(kind)) for _ in range(rng.randint(1, 4))]
+        pts += rng.sample(shared, min(len(shared), rng.randint(0, 3)))
+        shape = rng.random()
+        if shape < 0.15:
+            return PointBody(pts[0])
+        if shape < 0.3:
+            half = max(1, len(pts) // 2)
+            return HullBody((PolygonBody(convex_hull(pts[:half])),
+                             PolygonBody(convex_hull(pts[half:] or pts))))
+        return PolygonBody(convex_hull(pts))
+
+    kinds = ("int", "fraction", "float", "float")
+    k0 = rng.choice(kinds)
+    k1 = k0 if rng.random() < 0.7 else rng.choice(kinds)
+    a0 = body(k0, [])
+    v0 = tangency.polygonal_vertices(a0)
+    half = F(1, 2) if k0 != "float" else 0.5
+    shared = v0 + [Point(half * (p.x + q.x), half * (p.y + q.y)) for p, q in zip(v0, v0[1:])]
+    if rng.random() < 0.3:  # near-zero differences, about as large as eps = 1e-3 admits
+        shared = [Point(float(p.x) + rng.uniform(-0.02, 0.02), float(p.y)) for p in shared]
+    a1 = a0 if rng.random() < 0.05 else body(k1, shared)
+    return a0, a1
+
+
+def test_polygonal_zero_pattern_matches_scalar_oracle():
+    rng = random.Random(7411)
+    seen = Counter()
+    while seen["cases"] < 2000:
+        a0, a1 = _polygonal_pair(rng)
+        dirs, rational = tangency._candidate_directions(a0, a1)
+        if not dirs:
+            continue
+        for eps in (1e-9,) if rational else (1e-9, 1e-3):
+            got = tangency._zero_pattern(a0, a1, dirs, rational, eps)
+            assert repr(got) == repr(_oracle_zero_pattern(a0, a1, dirs, rational, eps))
+            zero_at, gap_zero, gap_sign = got
+            seen["zero candidate"] += any(zero_at)
+            seen["zero gap"] += any(gap_zero)
+            seen["tangential"] += any(zero_at[i] and gap_sign[i - 1] == gap_sign[i] != 0
+                                      for i in range(len(dirs)))
+        seen["rational" if rational else "float"] += 1
+        seen["cases"] += 1
+    assert min(seen.values()) > 50, seen
