@@ -46,7 +46,6 @@ from .sectors import (
     SectorRegion,
     boundary_exit,
     expand_sector,
-    sector,
     sweep,
     vertices_between,
 )
@@ -55,7 +54,6 @@ from .tangency import (
     CslIdentical,
     CslLines,
     OrientedSupportLine,
-    adjacency_gaps,
     adjacent_pairs,
     common_supporting_lines,
     slide_turn,

@@ -119,6 +119,21 @@ def polygonal_vertices(body) -> list:
     raise ModeMixError("smooth body has no vertex list")
 
 
+def edge_normal_angles(body) -> list:
+    """Outward edge normal angles of a polygonal body's hull, in hull order.
+
+    A segment yields both of its normals (max(n, 2) angles); a point or a
+    body with a smooth member yields none.
+    """
+    if not is_polygonal(body):
+        return []
+    verts = polygonal_vertices(body)
+    if len(verts) < 2:
+        return []
+    poly = convex_hull(verts)
+    return [poly.outward_normal_angle(i) for i in range(max(poly.n, 2))]
+
+
 def as_float_body(body):
     if isinstance(body, PolygonBody):
         return PolygonBody(body.poly.as_float())
@@ -161,7 +176,7 @@ def _half(v):
     return v / 2
 
 
-def support_dir(body, d: Point, tie_tol: float = 0.0):
+def support_dir(body, d: Point):
     """Support value and contact in unnormalized direction d.
 
     Exact whenever the body is polygonal and coordinates are rational.
@@ -174,10 +189,7 @@ def support_dir(body, d: Point, tie_tol: float = 0.0):
         verts = body.poly.vertices
         vals = [dot(v, d) for v in verts]
         best = max(vals)
-        if tie_tol > 0.0:
-            idx = [i for i, v in enumerate(vals) if float(best - v) <= tie_tol]
-        else:
-            idx = [i for i, v in enumerate(vals) if v == best]
+        idx = [i for i, v in enumerate(vals) if v == best]
         if len(idx) == 1:
             return best, verts[idx[0]], "vertex"
         # antipodal extreme pair along the boundary span of the tie
@@ -208,16 +220,16 @@ def support_dir(body, d: Point, tie_tol: float = 0.0):
     if isinstance(body, HullBody):
         best = None
         for part in body.parts:
-            cand = support_dir(part, d, tie_tol)
+            cand = support_dir(part, d)
             if best is None or cand[0] > best[0]:
                 best = cand
         return best
     raise TypeError(type(body))
 
 
-def support(body, theta: float, tie_tol: float = 0.0) -> SupportEval:
+def support(body, theta: float) -> SupportEval:
     """Support in the unit direction (cos theta, sin theta)."""
-    value, contact, kind = support_dir(body, unit(theta), tie_tol)
+    value, contact, kind = support_dir(body, unit(theta))
     return SupportEval(float(value), contact, kind)
 
 
@@ -355,7 +367,10 @@ class ContainmentResult:
     escaping_point: Optional[Point] = None
 
 
-def golden_min(fn, a: float, b: float, tol: float = 1e-12):
+GOLDEN_TOL = 1e-12  # bracket width at which golden_min stops
+
+
+def golden_min(fn, a: float, b: float):
     """Golden-section minimizer over [a, b]; returns (argmin, min)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -363,7 +378,7 @@ def golden_min(fn, a: float, b: float, tol: float = 1e-12):
     c = a + invphi2 * h
     d = a + invphi * h
     fc, fd = fn(c), fn(d)
-    while h > tol:
+    while h > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -382,7 +397,7 @@ GRID_THETA = 4096  # start grid for smooth containment minimization
 
 
 def contained_in_hull(inner, outer, extra: Sequence[Point] = (),
-                      eps: float = EPS, n_theta: int = GRID_THETA) -> ContainmentResult:
+                      eps: float = EPS) -> ContainmentResult:
     """Decide inner <= convex hull of (outer union extra points).
 
     Polygonal hulls are settled by exact vertex membership (sign-exact in
@@ -396,7 +411,7 @@ def contained_in_hull(inner, outer, extra: Sequence[Point] = (),
         return _contained_in_polygonal_hull(inner, pts, eps)
     if outer is None:
         return _contained_in_polygonal_hull(inner, extra, eps)
-    return _contained_in_smooth_hull(inner, outer, extra, eps, n_theta)
+    return _contained_in_smooth_hull(inner, outer, extra, eps, GRID_THETA)
 
 
 def _all_rational(points) -> bool:

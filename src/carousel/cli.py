@@ -223,14 +223,32 @@ def summarize_campaign(records) -> dict:
     }
 
 
+def _fuzz_config(doc, seed: int) -> FuzzConfig:
+    """FuzzConfig from a --config document: its fields override the
+    defaults and seed, and each must be shaped like its default."""
+    if not isinstance(doc, dict):
+        raise DocumentError("fuzz config must be an object")
+    kwargs = asdict(FuzzConfig(seed=seed))
+    for key, value in doc.items():
+        if key not in kwargs:
+            raise DocumentError(f"unknown fuzz config field {key!r}")
+        default = kwargs[key]
+        if isinstance(default, tuple):
+            # kinds: a non-empty subset of the default; ranges: int pairs lo <= hi
+            ok = isinstance(value, list) and bool(value) and (
+                all(x in default for x in value) if key == "kinds" else
+                len(value) == 2 and all(type(x) is int for x in value)
+                and value[0] <= value[1])
+        else:
+            ok = type(value) is type(default)
+        if not ok:
+            raise DocumentError(f"bad fuzz config field {key!r}: {value!r}")
+        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
+    return FuzzConfig(**kwargs)
+
+
 def cmd_fuzz(args) -> int:
-    cfg_kwargs = {}
-    if args.config:
-        cfg_kwargs = load_document(args.config)
-        cfg_kwargs = {k: tuple(v) if isinstance(v, list) else v
-                      for k, v in cfg_kwargs.items()}
-    cfg_kwargs.setdefault("seed", args.seed)
-    cfg = FuzzConfig(**cfg_kwargs)
+    cfg = _fuzz_config(load_document(args.config) if args.config else {}, args.seed)
     records = run_campaign(cfg, args.seeds)
     report = summarize_campaign(records)
     report["seed"] = cfg.seed

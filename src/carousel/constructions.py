@@ -39,7 +39,7 @@ from .kernel import (
     unit,
     wrap_angle,
 )
-from .rule import Scene, Tolerances, check_carousel_bruteforce, scene_csl
+from .rule import Scene, check_carousel_bruteforce, scene_csl
 from .tangency import CslLines, make_line
 
 # ---------------------------------------------------------------------------
@@ -101,9 +101,11 @@ class SharpnessReport:
     details: Tuple[str, ...]
 
 
-def sharpness_validate(inst: SharpnessInstance,
-                       normal_tol: float = 1e-9,
-                       value_tol: float = 1e-12) -> SharpnessReport:
+SHARPNESS_NORMAL_TOL = 1e-9  # found vs constructed line normals
+SHARPNESS_VALUE_TOL = 1e-12  # edge inequality terms vs their closed forms
+
+
+def sharpness_validate(inst: SharpnessInstance) -> SharpnessReport:
     """Check the tangency count, the rule failure, and the edge inequality."""
     details = []
     body0, body1 = PolygonBody(inst.a0), PolygonBody(inst.a1)
@@ -113,7 +115,8 @@ def sharpness_validate(inst: SharpnessInstance,
     if count == inst.n:
         got = sorted(l.normal for l in csl.lines)
         want = sorted(l.normal for l in inst.lines)
-        normals_ok = all(circ_dist(a, b) <= normal_tol for a, b in zip(got, want))
+        normals_ok = all(circ_dist(a, b) <= SHARPNESS_NORMAL_TOL
+                         for a, b in zip(got, want))
         if not normals_ok:
             details.append(f"normals differ: {got} vs {want}")
     else:
@@ -143,16 +146,17 @@ def sharpness_validate(inst: SharpnessInstance,
         details.append(f"edge slope {slope_direct} differs from {slope}")
     lhs = (p1b.y - s2 / 6.0)
     rhs = slope * (p1b.x - x1)
-    if abs(lhs - (-s2 / 3.0)) > value_tol:
+    lhs_ok = abs(lhs - (-s2 / 3.0)) <= SHARPNESS_VALUE_TOL
+    rhs_ok = abs(rhs) <= SHARPNESS_VALUE_TOL
+    if not lhs_ok:
         details.append(f"lhs {lhs} differs from {-s2 / 3.0}")
-    if abs(rhs) > value_tol:
+    if not rhs_ok:
         details.append(f"rhs {rhs} not zero")
     if not lhs < rhs:
         details.append("inequality not violated")
 
     ok = (count == inst.n and normals_ok and cert.verdict == "fails"
-          and refutation_count == 2 * inst.n and slope_ok
-          and abs(lhs - (-s2 / 3.0)) <= value_tol and abs(rhs) <= value_tol
+          and refutation_count == 2 * inst.n and slope_ok and lhs_ok and rhs_ok
           and lhs < rhs)
     return SharpnessReport(ok, count, normals_ok, cert.verdict, refutation_count,
                            lhs, rhs, slope_ok, tuple(details))
@@ -209,11 +213,10 @@ def _random_container(rng: random.Random, n_lo: int, n_hi: int,
     raise RejectionLimitExceeded("container generation")
 
 
-def _uniform_point_in(rng: random.Random, poly: ConvexPolygon,
-                      limit: int = 1000) -> Point:
+def _uniform_point_in(rng: random.Random, poly: ConvexPolygon) -> Point:
     xs = [float(v.x) for v in poly.vertices]
     ys = [float(v.y) for v in poly.vertices]
-    for _ in range(limit):
+    for _ in range(1000):
         p = Point(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
         if point_in_polygon(p, poly, 0.0):
             return p
@@ -306,7 +309,7 @@ def generate_fuzz_scene(cfg: FuzzConfig, index: int = 0) -> Scene:
     return Scene(a0, a1, container, cfg.mode)
 
 
-def generate_corollary_scene(kind: str, seed, tol: Tolerances = Tolerances()) -> Scene:
+def generate_corollary_scene(kind: str, seed) -> Scene:
     """Seeded scene for one of the degree-bound corollaries."""
     rng = _rng_for(f"{kind}:{seed}")
     limit = 500
@@ -314,12 +317,12 @@ def generate_corollary_scene(kind: str, seed, tol: Tolerances = Tolerances()) ->
         container = _random_container(rng, 3, 3, limit)
         a0 = _random_disk_body(rng, container, limit)
         a1 = _random_disk_body(rng, container, limit)
-        return Scene(a0, a1, container, "float", tol)
+        return Scene(a0, a1, container)
     if kind == "ellipses-in-pentagon":
         container = _random_container(rng, 5, 5, limit)
         a0 = _random_ellipse_body(rng, container, limit)
         a1 = _random_ellipse_body(rng, container, limit)
-        return Scene(a0, a1, container, "float", tol)
+        return Scene(a0, a1, container)
     if kind == "homothets-in-triangle":
         container = _random_container(rng, 3, 3, limit)
         base = _random_polygon_body(rng, container, 3, 6, limit)
@@ -330,7 +333,7 @@ def generate_corollary_scene(kind: str, seed, tol: Tolerances = Tolerances()) ->
                      for v in base.poly.vertices]
             if all(point_in_polygon(v, container, 0.0) for v in verts):
                 other = PolygonBody(ConvexPolygon(tuple(verts)))
-                return Scene(base, other, container, "float", tol)
+                return Scene(base, other, container)
         raise RejectionLimitExceeded("homothet placement")
     raise ValueError(f"unknown corollary kind {kind!r}")
 
@@ -363,11 +366,15 @@ def _integer_points_inside(rng: random.Random, container: ConvexPolygon,
     raise RejectionLimitExceeded("integer body points")
 
 
-def generate_integer_scene(seed, coord_max: int = 500) -> Scene:
+INTEGER_COORD_MAX = 500  # integer scenes live in [-max, max]^2
+
+
+def generate_integer_scene(seed) -> Scene:
     """Exact-mode polygon scene with all-integer coordinates."""
     rng = _rng_for(f"int:{seed}")
     for _ in range(100):
-        container = _random_integer_polygon(rng, -coord_max, coord_max, 10, 500)
+        container = _random_integer_polygon(rng, -INTEGER_COORD_MAX, INTEGER_COORD_MAX,
+                                            10, 500)
         try:
             v0 = _integer_points_inside(rng, container, rng.randint(3, 6), 2000)
             v1 = _integer_points_inside(rng, container, rng.randint(3, 6), 2000)
@@ -428,13 +435,13 @@ class EllipseHullReport:
     details: Tuple[str, ...]
 
 
-def validate_ellipse_hull_counterexample(samples: int = 256) -> EllipseHullReport:
+def validate_ellipse_hull_counterexample() -> EllipseHullReport:
     """The pair has two common supporting lines; the three-shape rule fails
     for every (body, dropped shape) choice; the polygonal scene still obeys
     the vertex-count theorem."""
     a0, a1, xs = ellipse_hull_counterexample()
     details = []
-    csl = scene_csl(Scene(a0, a1, hull_polygon_of_bodies(xs, samples)))
+    csl = scene_csl(Scene(a0, a1, hull_polygon_of_bodies(xs)))
     count = csl.count if isinstance(csl, CslLines) else None
     if count != 2:
         details.append(f"expected 2 common supporting lines, found {count}")
@@ -450,7 +457,7 @@ def validate_ellipse_hull_counterexample(samples: int = 256) -> EllipseHullRepor
                 shape_rule_fails = False
                 details.append(f"body {i} stays inside with shape {j} dropped")
 
-    g = hull_polygon_of_bodies(xs, samples)
+    g = hull_polygon_of_bodies(xs)
     scene = Scene(a0, a1, g)
     try:
         scene.validate()

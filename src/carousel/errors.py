@@ -21,10 +21,6 @@ class InvalidBody(GeometryError):
     """Body parameters out of range (non-positive radius, a < b, ...)."""
 
 
-class DegenerateArc(GeometryError):
-    """A sector was requested over a zero-width normal arc."""
-
-
 class ExpansionTooWide(GeometryError):
     """Sector expansion angles exceed the available normal gap."""
 

@@ -44,9 +44,6 @@ class Point(NamedTuple):
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
 
-    def scaled(self, k: Scalar) -> "Point":
-        return Point(self.x * k, self.y * k)
-
     def linf(self) -> float:
         return max(abs(float(self.x)), abs(float(self.y)))
 
@@ -58,11 +55,6 @@ def dot(a: Point, b: Point) -> Scalar:
 def cross(o: Point, a: Point, b: Point) -> Scalar:
     """Twice the signed area of the triangle (o, a, b); > 0 for a left turn."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def perp(d: Point) -> Point:
-    """d rotated +90 degrees counterclockwise."""
-    return Point(-d.y, d.x)
 
 
 def norm(d: Point) -> float:
@@ -129,11 +121,6 @@ class HalfPlane:
     ny: Scalar
     c: Scalar
 
-    @classmethod
-    def from_normal_angle(cls, theta: float, offset: float) -> "HalfPlane":
-        n = unit(theta)
-        return cls(n.x, n.y, offset)
-
     def value(self, p: Point) -> Scalar:
         """Signed violation; <= 0 inside, > 0 outside (normal scale units)."""
         return self.nx * p.x + self.ny * p.y - self.c
@@ -187,9 +174,6 @@ class ConvexPolygon:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % len(self.vertices)]
 
     def edge(self, i: int):
         """Edge i joins vertex i to vertex i+1 (ccw)."""

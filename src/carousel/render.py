@@ -41,11 +41,14 @@ def _points_attr(points: Iterable[Tuple[float, float]]) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
 
 
-def _ellipse_outline(center, a, b, rot, samples: int = 96):
+OUTLINE_SAMPLES = 96  # polygon vertices drawn per disk or ellipse
+
+
+def _ellipse_outline(center, a, b, rot):
     cr, sr = math.cos(rot), math.sin(rot)
     out = []
-    for k in range(samples):
-        t = 2.0 * math.pi * k / samples
+    for k in range(OUTLINE_SAMPLES):
+        t = 2.0 * math.pi * k / OUTLINE_SAMPLES
         x, y = a * math.cos(t), b * math.sin(t)
         out.append((center[0] + cr * x - sr * y, center[1] + sr * x + cr * y))
     return out

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .bodies import (
     ContainmentResult,
     HullBody,
@@ -28,9 +26,7 @@ from .bodies import (
     body_in_polygon,
     contained_in_hull,
     is_polygonal,
-    origin_radius,
     polygonal_vertices,
-    support_batch,
 )
 from .errors import (
     CaseTwoReached,
@@ -62,6 +58,7 @@ from .tangency import (
     CslLines,
     adjacent_pairs,
     common_supporting_lines,
+    gap_sign_counts,
     mixed_sign_gaps,
     slide_turn,
     support_difference,
@@ -141,6 +138,8 @@ class ConstructiveTrace:
 
 FRAGILE_FACTOR = 1e3
 REVALIDATION_SLACK = 10.0
+EVENT_ARC_TOL = 1e-7  # angular slack when assigning vertex events to a gap
+SWEEP_REL_TOL = 1e-6  # relative slack of the sweep partition checks
 
 
 def hull_pair_body(a0, a1):
@@ -172,22 +171,26 @@ def check_carousel_bruteforce(scene: Scene, csl=None) -> Certificate:
     """
     if csl is None:
         csl = scene_csl(scene)
-    reason = _degeneracy_of(csl)
-    eps = scene.tol.eps
-    margins = []
+    return _containment_scan(scene, scene.tol.eps, _degeneracy_of(csl))
+
+
+def _containment_scan(scene: Scene, eps: float, reason: Optional[str]) -> Certificate:
+    """Containment tests at eps over (i, j) in ascending order; the first
+    containment wins.  fragile is judged against scene.tol.eps."""
+    fragile_at = FRAGILE_FACTOR * scene.tol.eps
     refutations = []
     for i in (0, 1):
         inner = scene.body(i)
         outer = scene.body(1 - i)
         for j in range(scene.n):
             res = contained_in_hull(inner, outer, scene.vertices_except(j), eps=eps)
-            margins.append(res.margin)
             if res.contained:
-                fragile = abs(res.margin) <= FRAGILE_FACTOR * eps
-                return Certificate("holds", i, j, res, None, reason, fragile, res.margin)
+                return Certificate("holds", i, j, res, None, reason,
+                                   abs(res.margin) <= fragile_at, res.margin)
             refutations.append(((i, j), res))
-    min_margin = min((m for m in margins if not math.isnan(m)), default=math.nan)
-    fragile = any(abs(r.margin) <= FRAGILE_FACTOR * eps for _, r in refutations)
+    min_margin = min((r.margin for _, r in refutations if not math.isnan(r.margin)),
+                     default=math.nan)
+    fragile = any(abs(r.margin) <= fragile_at for _, r in refutations)
     return Certificate("fails", None, None, None, tuple(refutations),
                        reason, fragile, min_margin)
 
@@ -195,31 +198,10 @@ def check_carousel_bruteforce(scene: Scene, csl=None) -> Certificate:
 # ---------------------------------------------------------------------------
 # constructive decider
 
-def _arc_sign(scene: Scene, pair: AdjacentPair, probes: int = 128) -> int:
-    """Dominant sign of the support difference inside the pair's gap.
-
-    +1 means the first body dominates, -1 the second; 0 means everywhere
-    tiny.  A thin opposite-sign excursion (near-tangential zero pair the
-    line search could not isolate) is outvoted, not fatal: the emitted
-    witness is re-validated by containment regardless.
-    """
-    scale = 1.0 + max(origin_radius(scene.a0), origin_radius(scene.a1))
-    ks = np.arange(1, probes + 1)
-    th = pair.line.normal - pair.delta * ks / (probes + 1)
-    d = support_batch(scene.a0, np.cos(th), np.sin(th)) \
-        - support_batch(scene.a1, np.cos(th), np.sin(th))
-    thr = scene.tol.eps * scale
-    pos = int(np.count_nonzero(d > thr))
-    neg = int(np.count_nonzero(d < -thr))
-    if pos == neg:
-        return 0
-    return 1 if pos > neg else -1
-
-
-def _events_in_arc(events, arc: NormalArc, tol: float = 1e-7):
+def _events_in_arc(events, arc: NormalArc):
     out = []
     for e in events:
-        if arc.contains(e.normal, tol):
+        if arc.contains(e.normal, EVENT_ARC_TOL):
             out.append((arc.clockwise_offset(e.normal), e))
     out.sort(key=lambda t: t[0])
     return out
@@ -234,11 +216,15 @@ def _search_pair(scene: Scene, pair: AdjacentPair, events, notes,
     right sweep is vertex-free.  Other pairs serve as fallbacks: the
     witness machinery only needs both turned exits on vertices.
     """
-    sign = _arc_sign(scene, pair)
-    if sign == 0:
+    # the body whose support dominates across the gap hosts the other; a
+    # thin opposite-sign excursion (a near-tangential zero pair the line
+    # search could not isolate) is outvoted, since the emitted witness is
+    # re-validated by containment regardless
+    (pos, neg), = gap_sign_counts(scene.a0, scene.a1, [pair], scene.tol.eps)
+    if pos == neg:
         notes.append(f"pair {pair.index}: mixed-sign gap")
         return None
-    dominant_idx = 0 if sign > 0 else 1
+    dominant_idx = 0 if pos > neg else 1
     witness_idx = 1 - dominant_idx
     dom = scene.body(dominant_idx)
     arc = NormalArc(pair.line.normal, pair.delta)
@@ -427,19 +413,12 @@ def check_carousel_constructive(scene: Scene, csl=None):
     # back to the containment scan and mark the trace accordingly.
     notes.append("sweep toolkit exhausted: no pair admits an ordered "
                  "vertex-hit combination; witness via containment scan")
-    for i in (0, 1):
-        for j in range(scene.n):
-            proof = contained_in_hull(scene.body(i), scene.body(1 - i),
-                                      scene.vertices_except(j),
-                                      eps=eps * REVALIDATION_SLACK)
-            if proof.contained:
-                trace = ConstructiveTrace(-1, math.nan, math.nan, math.nan,
-                                          1 - i, -2, math.nan, math.nan, (),
-                                          (i, j), tuple(notes))
-                fragile = abs(proof.margin) <= FRAGILE_FACTOR * eps
-                cert = Certificate("holds", i, j, proof, None, reason,
-                                   fragile, proof.margin)
-                return cert, trace
+    cert = _containment_scan(scene, eps * REVALIDATION_SLACK, reason)
+    if cert.verdict == "holds":
+        trace = ConstructiveTrace(-1, math.nan, math.nan, math.nan,
+                                  1 - cert.i, -2, math.nan, math.nan, (),
+                                  (cert.i, cert.j), tuple(notes))
+        return cert, trace
     raise ConstructiveSearchFailed(
         f"no witness at all despite s < n; notes: {notes}")
 
@@ -493,7 +472,7 @@ def dichotomy_holds(scene: Scene, csl: CslLines) -> bool:
     return True
 
 
-def sweep_partition_ok(scene: Scene, csl: CslLines, rel_tol: float = 1e-6) -> bool:
+def sweep_partition_ok(scene: Scene, csl: CslLines) -> bool:
     """Left sweeps chain end-to-start, tile the boundary, cover all vertices."""
     hull = hull_pair_body(scene.a0, scene.a1)
     g = scene.container
@@ -503,7 +482,7 @@ def sweep_partition_ok(scene: Scene, csl: CslLines, rel_tol: float = 1e-6) -> bo
     sweeps = {p.index: _sweep(p.line, p.cw_next, hull, g, "L", scene.tol.eps, exits)
               for p in pairs}
     total = sum(s.cw_length for s in sweeps.values())
-    if abs(total - perim) > rel_tol * perim:
+    if abs(total - perim) > SWEEP_REL_TOL * perim:
         return False
     covered = set()
     for s in sweeps.values():
@@ -518,7 +497,7 @@ def sweep_partition_ok(scene: Scene, csl: CslLines, rel_tol: float = 1e-6) -> bo
         a = sweeps[pair.index].end.location
         b = sweeps[nxt].start.location
         if math.hypot(float(a.x) - float(b.x), float(a.y) - float(b.y)) \
-                > rel_tol * (1.0 + perim):
+                > SWEEP_REL_TOL * (1.0 + perim):
             return False
     return True
 
@@ -534,20 +513,17 @@ def verify_scene(scene: Scene) -> dict:
     }
     try:
         csl = scene_csl(scene)
-        if isinstance(csl, CslIdentical):
-            rec.update(csl_kind="identical", degenerate=True,
-                       degenerate_reason="identical-bodies")
-        elif isinstance(csl, CslArcs):
-            rec.update(csl_kind="arcs", degenerate=True,
-                       degenerate_reason="infinite-arcs")
-        else:
+        reason = _degeneracy_of(csl)
+        if isinstance(csl, CslLines):
             rec.update(csl_kind="lines", s=csl.count)
-            if csl.degenerate:
-                rec.update(degenerate=True, degenerate_reason="tangential-zero")
-            elif mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps):
+            if reason is None and mixed_sign_gaps(scene.a0, scene.a1, csl,
+                                                  eps=scene.tol.eps):
                 # a sign excursion inside a gap means a near-tangential zero
                 # pair escaped the search; treat the scene as degenerate
-                rec.update(degenerate=True, degenerate_reason="mixed-sign-gap")
+                reason = "mixed-sign-gap"
+        else:
+            rec["csl_kind"] = "identical" if isinstance(csl, CslIdentical) else "arcs"
+        rec.update(degenerate=reason is not None, degenerate_reason=reason)
 
         brute = check_carousel_bruteforce(scene, csl)
         rec.update(verdict=brute.verdict, i=brute.i, j=brute.j, fragile=brute.fragile)

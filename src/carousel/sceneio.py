@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .bodies import ContainmentResult, Disk, Ellipse, PointBody, PolygonBody
 from .kernel import ConvexPolygon, Point
@@ -84,18 +84,26 @@ def _scalar_out(v, exact: bool):
     return float(v)
 
 
+def _finite(v) -> float:
+    """float(v) for a finite value; json.load also yields NaN and infinities."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise DocumentError(f"finite number expected, got {v!r}")
+    return x
+
+
 def _scalar_in(v, exact: bool):
+    """A number or "p/q" string; a zero q or a float overflow raises an
+    ArithmeticError, which the document readers report as DocumentError."""
+    if isinstance(v, str):
+        num, _, den = v.partition("/")
+        f = Fraction(int(num), int(den or "1"))
+        return f if exact else _finite(f)
     if exact:
-        if isinstance(v, str):
-            num, _, den = v.partition("/")
-            return Fraction(int(num), int(den or "1"))
         if isinstance(v, int):
             return Fraction(v)
         raise DocumentError(f"exact scalar expected, got {v!r}")
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return float(Fraction(int(num), int(den or "1")))
-    return float(v)
+    return _finite(v)
 
 
 def _point_out(p: Point, exact: bool):
@@ -140,12 +148,12 @@ def body_from_doc(doc: dict, exact: bool):
             return Ellipse(_point_in(doc["center"], exact),
                            _scalar_in(doc["semi_major"], exact),
                            _scalar_in(doc["semi_minor"], exact),
-                           float(doc["rotation"]))
+                           _finite(doc["rotation"]))
         if kind == "point":
             return PointBody(_point_in(doc["point"], exact))
     except DocumentError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DocumentError(f"bad body document: {exc}") from exc
     raise DocumentError(f"unknown body kind {doc.get('kind')!r}")
 
@@ -153,9 +161,9 @@ def body_from_doc(doc: dict, exact: bool):
 # ---------------------------------------------------------------------------
 # scenes and annotations
 
-def scene_to_doc(scene: Scene, annotations: Optional[dict] = None) -> dict:
+def scene_to_doc(scene: Scene) -> dict:
     exact = scene.mode == "exact"
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "mode": scene.mode,
         "tolerances": {"eps": scene.tol.eps, "eps_angle": scene.tol.eps_angle},
@@ -163,9 +171,6 @@ def scene_to_doc(scene: Scene, annotations: Optional[dict] = None) -> dict:
         "A0": body_to_doc(scene.a0, exact),
         "A1": body_to_doc(scene.a1, exact),
     }
-    if annotations:
-        doc["annotations"] = annotations
-    return doc
 
 
 def scene_from_doc(doc: dict) -> Tuple[Scene, dict]:
@@ -181,13 +186,13 @@ def scene_from_doc(doc: dict) -> Tuple[Scene, dict]:
         tol_doc = doc.get("tolerances", {})
         if not isinstance(tol_doc, dict):
             raise DocumentError("tolerances must be an object")
-        tol = Tolerances(float(tol_doc.get("eps", 1e-9)),
-                         float(tol_doc.get("eps_angle", 1e-10)))
+        tol = Tolerances(_finite(tol_doc.get("eps", 1e-9)),
+                         _finite(tol_doc.get("eps_angle", 1e-10)))
         container = ConvexPolygon(tuple(_point_in(p, exact)
                                         for p in doc["G"]["vertices"]))
         a0 = body_from_doc(doc["A0"], exact)
         a1 = body_from_doc(doc["A1"], exact)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         if isinstance(exc, DocumentError):
             raise
         raise DocumentError(f"bad scene document: {exc}") from exc

@@ -27,6 +27,7 @@ from .bodies import (
     Disk,
     HullBody,
     body_contains_point,
+    edge_normal_angles,
     is_polygonal,
     origin_radius,
     polygonal_vertices,
@@ -37,7 +38,6 @@ from .bodies import (
 )
 from .errors import (
     ContactOutsideContainer,
-    DegenerateArc,
     EndpointNotVertex,
     ExpansionTooWide,
     LineSupportMismatch,
@@ -142,10 +142,10 @@ class SectorRegion:
         return intersect_halfplanes(container, self.planes, eps)
 
 
-SECTOR_SAMPLES = 512  # default half-plane count across a smooth arc
+SECTOR_SAMPLES = 512  # half-plane count across a smooth arc
 
 
-def sector_from_arc(body, arc: NormalArc, samples: int = SECTOR_SAMPLES) -> SectorRegion:
+def sector_from_arc(body, arc: NormalArc) -> SectorRegion:
     """Sector of the body over an explicit normal arc."""
     if arc.width <= 0.0:
         return SectorRegion.from_planes(arc, body, (supporting_line(body, arc.start),))
@@ -153,20 +153,15 @@ def sector_from_arc(body, arc: NormalArc, samples: int = SECTOR_SAMPLES) -> Sect
         planes = [supporting_line(body, arc.start)]
         if arc.width < TWO_PI:
             planes.append(supporting_line(body, arc.end))
-        verts = polygonal_vertices(body)
-        if len(verts) >= 2:
-            poly = convex_hull(verts)
-            edge_count = poly.n if poly.n > 2 else 2
-            for i in range(edge_count):
-                ang = poly.outward_normal_angle(i)
-                if arc.width >= TWO_PI:
-                    strict = True
-                else:
-                    off = arc.clockwise_offset(ang)
-                    strict = EPS_ANGLE < off < arc.width - EPS_ANGLE
-                if strict:
-                    planes.append(supporting_line(body, ang))
-        if len(verts) <= 2 and arc.width > math.pi / 2:
+        for ang in edge_normal_angles(body):
+            if arc.width >= TWO_PI:
+                strict = True
+            else:
+                off = arc.clockwise_offset(ang)
+                strict = EPS_ANGLE < off < arc.width - EPS_ANGLE
+            if strict:
+                planes.append(supporting_line(body, ang))
+        if len(polygonal_vertices(body)) <= 2 and arc.width > math.pi / 2:
             # points and segments have vertex normal cones of width pi or
             # more; dropping interior normals is only sound between
             # constraints less than pi apart, so pad to <= pi/2 spacing
@@ -175,52 +170,31 @@ def sector_from_arc(body, arc: NormalArc, samples: int = SECTOR_SAMPLES) -> Sect
                 ang = wrap_angle(arc.start - arc.width * k / (extra + 1))
                 planes.append(supporting_line(body, ang))
         return SectorRegion.from_planes(arc, body, planes)
-    # smooth: endpoints plus `samples` angles spread across the arc; values
-    # come from one vectorized support sweep (contacts are not needed)
-    ts = arc.angles(samples + 2)
+    # smooth: endpoints plus SECTOR_SAMPLES angles spread across the arc;
+    # values come from one vectorized support sweep (contacts are not needed)
+    ts = arc.angles(SECTOR_SAMPLES + 2)
     ct, st = np.cos(ts), np.sin(ts)
     return SectorRegion(arc, body, ct, st, support_batch(body, ct, st))
 
 
-def sector(l1: OrientedSupportLine, l2: OrientedSupportLine, body,
-           sign: str = "+", samples: int = SECTOR_SAMPLES) -> SectorRegion:
-    """Sector of the two lines by the body over the chosen arc.
-
-    sign '+' takes the clockwise arc from the normal of l1 to the normal
-    of l2; sign '-' takes the complementary arc (clockwise from l2 back
-    to l1).  The lines must be distinct as oriented lines.
-    """
-    gap = cw_gap(l1.normal, l2.normal)
-    if gap <= EPS_ANGLE or gap >= TWO_PI - EPS_ANGLE:
-        raise DegenerateArc("sector needs two distinct oriented lines")
-    if sign == "+":
-        arc = NormalArc(l1.normal, gap)
-    elif sign == "-":
-        arc = NormalArc(l2.normal, TWO_PI - gap)
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    return sector_from_arc(body, arc, samples)
-
-
 def expand_sector(l1: OrientedSupportLine, l2: OrientedSupportLine, body,
-                  alpha: float, beta: float,
-                  samples: int = SECTOR_SAMPLES, eps: float = EPS) -> SectorRegion:
+                  alpha: float, beta: float) -> SectorRegion:
     """Sector of the slide-turned pair; a superset of the original sector.
 
     l1 turns clockwise by alpha, l2 counterclockwise by beta; their sum
     must not exceed the clockwise gap between the line normals.  Using
     the whole gap collapses the arc to one angle, i.e. one half-plane.
     """
-    if alpha < -eps or beta < -eps:
+    if alpha < -EPS or beta < -EPS:
         raise ExpansionTooWide("negative turn angles")
     gap = cw_gap(l1.normal, l2.normal)
     if gap == 0.0:
         gap = TWO_PI
-    if alpha + beta > gap + max(eps, EPS_ANGLE):
+    if alpha + beta > gap + max(EPS, EPS_ANGLE):
         raise ExpansionTooWide(f"alpha+beta = {alpha + beta} exceeds gap {gap}")
     new_width = max(0.0, gap - alpha - beta)
     arc = NormalArc(wrap_angle(l1.normal - alpha), new_width)
-    return sector_from_arc(body, arc, samples)
+    return sector_from_arc(body, arc)
 
 
 # ---------------------------------------------------------------------------

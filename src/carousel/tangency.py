@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bodies import (
+    edge_normal_angles,
     golden_min,
     grid_dirs,
     is_polygonal,
@@ -302,9 +303,8 @@ ROOT_WIDTH = 1e-12
 ARC_EDGE_WIDTH = 1e-10
 
 
-def _bisect_root(fn, a: float, b: float, fa: float, fb: float,
-                 width: float = ROOT_WIDTH) -> float:
-    while b - a > width:
+def _bisect_root(fn, a: float, b: float, fa: float, fb: float) -> float:
+    while b - a > ROOT_WIDTH:
         mid = 0.5 * (a + b)
         fm = fn(mid)
         if fm == 0.0:
@@ -453,61 +453,44 @@ def adjacent_pairs(csl: CslLines) -> List[AdjacentPair]:
     return out
 
 
-def adjacency_gaps(csl: CslLines) -> List[float]:
-    """Clockwise angular gaps, one per line, summing to a full turn."""
-    return [p.delta for p in adjacent_pairs(csl)]
+GAP_PROBES = 512  # uniform interior samples per gap
 
 
-def _polygon_edge_normal_angles(body) -> List[float]:
-    if not is_polygonal(body):
+def gap_sign_counts(a0, a1, pairs: List[AdjacentPair],
+                    eps: float) -> List[Tuple[int, int]]:
+    """(positive, negative) sample counts of h0 - h1 inside each pair's gap.
+
+    The samples are GAP_PROBES uniform interior angles plus the polygon
+    edge normals strictly inside the gap: narrow excursions of the
+    difference peak at those kinks.  A sample within eps * (1 + the
+    larger origin radius) of zero counts for neither sign.
+    """
+    if not pairs:
         return []
-    verts = polygonal_vertices(body)
-    if len(verts) < 2:
-        return []
-    from .kernel import convex_hull
+    kink_angles = edge_normal_angles(a0) + edge_normal_angles(a1)
+    ks = np.arange(1, GAP_PROBES + 1)
+    chunks = []
+    for pair in pairs:
+        kinks = [ang for ang in kink_angles
+                 if EPS_ANGLE < cw_gap(pair.line.normal, ang) < pair.delta - EPS_ANGLE]
+        chunks.append(np.concatenate(
+            (pair.line.normal - pair.delta * ks / (GAP_PROBES + 1), kinks)))
+    thetas = np.concatenate(chunks)
+    deltas = support_batch(a0, np.cos(thetas), np.sin(thetas)) \
+        - support_batch(a1, np.cos(thetas), np.sin(thetas))
+    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
+    bounds = np.cumsum([len(c) for c in chunks])[:-1]
+    return [(int(np.count_nonzero(d > thr)), int(np.count_nonzero(d < -thr)))
+            for d in np.split(deltas, bounds)]
 
-    poly = convex_hull(verts)
-    count = poly.n if poly.n > 2 else 2
-    return [poly.outward_normal_angle(i) for i in range(count)]
 
-
-def mixed_sign_gaps(a0, a1, csl: CslLines, probes: int = 512,
-                    eps: float = EPS) -> List[int]:
+def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
     """Indices of adjacency gaps where the support difference changes sign.
 
     A genuine gap between adjacent common supporting lines has constant
     sign; a mixed gap means a nearby zero pair escaped the search and
-    the scene should be treated as degenerate.  Narrow excursions peak
-    at kinks of the difference, i.e. at polygon edge normals, so those
-    angles are probed alongside the uniform grid.
+    the scene should be treated as degenerate.
     """
     pairs = adjacent_pairs(csl)
-    if not pairs:
-        return []
-    kink_angles = _polygon_edge_normal_angles(a0) + _polygon_edge_normal_angles(a1)
-    angles = []
-    slices = []
-    pos = 0
-    for pair in pairs:
-        ks = np.arange(1, probes + 1)
-        chunk = list(pair.line.normal - pair.delta * ks / (probes + 1))
-        for ang in kink_angles:
-            off = cw_gap(pair.line.normal, ang)
-            if EPS_ANGLE < off < pair.delta - EPS_ANGLE:
-                chunk.append(ang)
-        angles.extend(chunk)
-        slices.append((pos, pos + len(chunk)))
-        pos += len(chunk)
-    thetas = np.array(angles)
-    deltas = support_batch(a0, np.cos(thetas), np.sin(thetas)) \
-        - support_batch(a1, np.cos(thetas), np.sin(thetas))
-    scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
-    thr = eps * scale
-    out = []
-    for (lo, hi), pair in zip(slices, pairs):
-        chunk = deltas[lo:hi]
-        has_pos = bool(np.any(chunk > thr))
-        has_neg = bool(np.any(chunk < -thr))
-        if has_pos and has_neg:
-            out.append(pair.index)
-    return out
+    counts = gap_sign_counts(a0, a1, pairs, eps)
+    return [p.index for p, (pos, neg) in zip(pairs, counts) if pos and neg]

@@ -89,8 +89,7 @@ def test_criterion_2_sharpness_family():
     details = []
     ok = True
     for n in (4, 6, 8, 10, 12):
-        report = sharpness_validate(sharpness_construct(n),
-                                    normal_tol=1e-9, value_tol=1e-12)
+        report = sharpness_validate(sharpness_construct(n))
         want_lhs = -math.sin(2 * math.pi / n) / 3.0
         good = report.ok and abs(report.lhs - want_lhs) <= 1e-12 \
             and abs(report.rhs) <= 1e-12

@@ -111,6 +111,43 @@ def test_malformed_documents_fail_cleanly(tmp_path):
         assert code in (64, 65), (k, code)
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("G", "vertices", 0, 0), math.nan),
+    (("G", "vertices", 0, 0), math.inf),
+    (("G", "vertices", 0, 1), -math.inf),
+    (("G", "vertices", 0, 0), "1/0"),
+    (("A0", "radius"), "1/0"),
+    (("tolerances", "eps"), math.nan),
+    (("tolerances", "eps_angle"), math.inf),
+])
+def test_non_finite_scalars_are_malformed(disk_scene, tmp_path, capsys, path, value):
+    doc = load_document(disk_scene)
+    _set(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity literals
+    assert main(["check", str(bad), "--method", "brute"]) == 64
+    assert "error" in capsys.readouterr().err
+
+
+def test_non_finite_rotation_and_exact_zero_denominator_are_malformed(tmp_path):
+    ellipse = {"kind": "ellipse", "center": [-0.3, 0.0], "semi_major": 0.2,
+               "semi_minor": 0.1, "rotation": math.inf}
+    float_doc = scene_to_doc(Scene(Disk(Point(-0.3, 0.0), 0.1),
+                                   Disk(Point(0.3, 0.0), 0.1), TRIANGLE))
+    exact_doc = json.loads(canonical_dumps(scene_to_doc(generate_integer_scene(5))))
+    exact_doc["G"]["vertices"][0][0] = "1/0"
+    for k, doc in enumerate(({**float_doc, "A0": ellipse}, exact_doc)):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 64, k
+
+
 def test_cmd_check_body_outside(tmp_path, capsys):
     scene = Scene(Disk(Point(0.0, 0.0), 0.2), Disk(Point(0.3, 0.0), 0.1), TRIANGLE)
     doc = scene_to_doc(scene)
@@ -161,6 +198,32 @@ def test_cmd_fuzz_small_campaign(tmp_path, capsys, monkeypatch):
     code2 = main(["fuzz", "--seeds", "12", "--seed", "5", "--out", str(out)])
     report2 = load_document(str(out))
     assert report == report2
+
+
+@pytest.mark.parametrize("config", [
+    {"bogus": 1},
+    [1, 2],
+    {"n_range": 5},
+    {"n_range": [5]},
+    {"kinds": ["blob"]},
+    {"seed": "7"},
+])
+def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fuzz", "--seeds", "2", "--config", str(path)]) == 64
+    assert "error" in capsys.readouterr().err
+
+
+def test_cmd_fuzz_config_overrides_defaults(tmp_path, monkeypatch):
+    monkeypatch.setenv("CAROUSEL_WORKERS", "1")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_range": [4, 4], "kinds": ["disk"], "seed": 3}),
+                    encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["fuzz", "--seeds", "3", "--config", str(path), "--out", str(out)]) == 0
+    report = load_document(str(out))
+    assert report["seed"] == 3 and report["scenes"] == 3
 
 
 def test_summarize_campaign_flags_violations():

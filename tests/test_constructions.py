@@ -18,7 +18,7 @@ from carousel.constructions import (
 from carousel.errors import OddVertexCount
 from carousel.kernel import TWO_PI, circ_dist
 from carousel.rule import check_carousel_bruteforce, scene_csl, verify_scene
-from carousel.tangency import CslLines, adjacency_gaps
+from carousel.tangency import CslLines, adjacent_pairs
 
 
 def test_sharpness_n4_coordinates():
@@ -77,8 +77,8 @@ def test_sharpness_gaps_uniform():
 
     csl = scene_csl(Scene(PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container))
     assert isinstance(csl, CslLines) and csl.count == 4
-    for gap in adjacency_gaps(csl):
-        assert math.isclose(gap, math.pi / 2, abs_tol=1e-9)
+    for pair in adjacent_pairs(csl):
+        assert math.isclose(pair.delta, math.pi / 2, abs_tol=1e-9)
 
 
 def test_plucker_bound():

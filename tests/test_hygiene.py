@@ -1,0 +1,78 @@
+"""Static checks on the package source: no unused imports, no dead helpers.
+
+Both checks match names, not bindings: a name counts as used wherever an
+identifier, attribute or imported alias of that spelling appears.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "carousel"
+PERFBENCH = ROOT / "perfbench"
+
+# paper-claim validators: entry points for readers of the paper, not for
+# the deciders, so nothing in the package needs to call them
+CLAIM_VALIDATORS = {"plucker_bound", "sharpness_validate",
+                    "validate_ellipse_hull_counterexample"}
+
+
+def _modules(directory):
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
+
+
+def _used_names(node, strings=False):
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _modules(PACKAGE).items():
+        if path.name == "__init__.py":  # re-exports
+            continue
+        loaded = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        loaded |= {sub.value.id for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)}
+        for stmt in ast.walk(tree):
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def test_every_top_level_definition_has_a_caller():
+    package = {path: tree for path, tree in _modules(PACKAGE).items()
+               if path.name != "__init__.py"}
+    outside = set()
+    for tree in _modules(PERFBENCH).values():
+        outside |= _used_names(tree, strings=True)
+    statements = [stmt for tree in package.values() for stmt in tree.body]
+    uses = [_used_names(stmt) for stmt in statements]
+    dead = []
+    for path, tree in package.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if name in CLAIM_VALIDATORS or name in outside:
+                continue
+            if not any(name in used for other, used in zip(statements, uses)
+                       if other is not stmt):
+                dead.append(f"{path.name}: {name}")
+    assert dead == []

@@ -203,7 +203,7 @@ def test_exact_float_hull_agreement():
 
 
 def test_halfplane_geometry():
-    hp = HalfPlane.from_normal_angle(math.pi / 2, 1.0)
+    hp = HalfPlane(*unit(math.pi / 2), 1.0)
     assert hp.contains(Point(0.0, 0.5))
     assert not hp.contains(Point(0.0, 1.5))
     assert math.isclose(hp.unit_offset, 1.0)

@@ -159,8 +159,30 @@ def test_sweep_toolkit_exhaustion_fallback():
     assert cert.verdict == "holds"
     assert trace.case == -2
     assert "containment scan" in trace.notes[-1]
+    assert trace.witness == (cert.i, cert.j) and trace.dominant == 1 - cert.i
+    assert cert.min_margin == cert.proof.margin
+    assert cert.fragile == (abs(cert.proof.margin) <= rule.FRAGILE_FACTOR * scene.tol.eps)
     report = cross_validate(scene)
     assert report.agree and report.revalidation.contained
+
+
+@pytest.mark.parametrize("seed, index, brute_ij, witness", [
+    (2026, 614, (0, 0), (0, 0)),  # ellipse / polygon, n = 7
+    (7411, 4, (0, 1), (1, 0)),    # polygon / disk, n = 3
+])
+def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
+    # one gap holds a thin opposite-sign excursion: the degeneracy filter
+    # flags it, while the constructive decider's majority vote still picks
+    # the dominant body there and finds a witness
+    scene = generate_fuzz_scene(FuzzConfig(seed=seed), index)
+    csl = scene_csl(scene)
+    assert mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps) == [0]
+    rec = verify_scene(scene)
+    assert rec["degenerate_reason"] == "mixed-sign-gap"
+    assert (rec["verdict"], rec["i"], rec["j"]) == ("holds", *brute_ij)
+    cert, trace = check_carousel_constructive(scene, csl)
+    assert cert.verdict == "holds"
+    assert (trace.witness, trace.case, trace.notes) == (witness, 0, ())
 
 
 def test_cross_validate_degenerate_is_vacuous():

@@ -16,7 +16,7 @@ from carousel.bodies import (
     support_batch,
     support_dir,
 )
-from carousel.errors import DegenerateArc, EndpointNotVertex, ExpansionTooWide
+from carousel.errors import EndpointNotVertex, ExpansionTooWide
 from carousel.kernel import (
     EPS,
     ConvexPolygon,
@@ -25,6 +25,7 @@ from carousel.kernel import (
     as_float_point,
     circ_dist,
     convex_hull,
+    cw_gap,
     point_in_polygon,
     unit,
     wrap_angle,
@@ -34,7 +35,6 @@ from carousel.sectors import (
     _tangent_normals_smooth,
     boundary_exit,
     expand_sector,
-    sector,
     sector_from_arc,
     sweep,
     vertex_hit_events,
@@ -53,6 +53,11 @@ BIG_SQUARE = ConvexPolygon((Point(-2.0, -2.0), Point(2.0, -2.0),
                             Point(2.0, 2.0), Point(-2.0, 2.0)))
 
 
+def cw_arc(l1, l2):
+    """Clockwise normal arc from line l1 to line l2."""
+    return NormalArc(l1.normal, cw_gap(l1.normal, l2.normal))
+
+
 def test_normal_arc_basics():
     arc = NormalArc(math.pi / 2, math.pi / 2)  # cw from north to east
     assert circ_dist(arc.end, 0.0) < 1e-12
@@ -66,7 +71,7 @@ def test_disk_quarter_sector_hugs_boundary():
     disk = Disk(Point(0.0, 0.0), 1.0)
     l1 = make_support_line(disk, math.pi / 2)
     l2 = make_support_line(disk, 0.0)
-    sec = sector(l1, l2, disk, "+")
+    sec = sector_from_arc(disk, cw_arc(l1, l2))
     # every boundary point of the disk with normal inside the arc lies on
     # the sector boundary within the sampling resolution
     for t in [k * (math.pi / 2) / 40 for k in range(41)]:
@@ -83,7 +88,7 @@ def test_polygon_sector_two_planes_when_no_edge_normals_inside():
     # arc from 80 to 10 degrees contains no edge normal of the square
     l1 = make_support_line(sq, math.radians(80))
     l2 = make_support_line(sq, math.radians(10))
-    sec = sector(l1, l2, sq, "+")
+    sec = sector_from_arc(sq, cw_arc(l1, l2))
     assert len(sec.planes) == 2
 
 
@@ -91,8 +96,8 @@ def test_minus_sector_contains_body():
     disk = Disk(Point(0.0, 0.0), 1.0)
     l1 = make_support_line(disk, math.pi / 2)
     l2 = make_support_line(disk, 0.0)
-    plus = sector(l1, l2, disk, "+")
-    minus = sector(l1, l2, disk, "-")
+    plus = sector_from_arc(disk, cw_arc(l1, l2))
+    minus = sector_from_arc(disk, cw_arc(l2, l1))
     rng = random.Random(0)
     for _ in range(1000):
         t = rng.uniform(0, TWO_PI)
@@ -107,18 +112,11 @@ def test_minus_sector_contains_body():
     assert not plus.contains_point(Point(50.0, 50.0), 1e-9)
 
 
-def test_sector_requires_distinct_lines():
-    disk = Disk(Point(0.0, 0.0), 1.0)
-    l1 = make_support_line(disk, 1.0)
-    with pytest.raises(DegenerateArc):
-        sector(l1, l1, disk, "+")
-
-
 def test_expand_sector_identity_and_superset():
     disk = Disk(Point(0.0, 0.0), 1.0)
     l1 = make_support_line(disk, math.pi / 2)
     l2 = make_support_line(disk, 0.0)
-    base = sector(l1, l2, disk, "+")
+    base = sector_from_arc(disk, cw_arc(l1, l2))
     same = expand_sector(l1, l2, disk, 0.0, 0.0)
     assert circ_dist(same.arc.start, base.arc.start) < 1e-12
     assert math.isclose(same.arc.width, base.arc.width, abs_tol=1e-12)

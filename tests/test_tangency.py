@@ -21,7 +21,6 @@ from carousel.tangency import (
     CslArcs,
     CslIdentical,
     CslLines,
-    adjacency_gaps,
     adjacent_pairs,
     common_supporting_lines,
     make_support_line,
@@ -174,7 +173,7 @@ def test_root_completeness_random_polygon_pairs():
 def test_point_pair_is_two_oriented_lines():
     res = common_supporting_lines(PointBody(Point(F(0), F(0))), PointBody(Point(F(2), F(0))))
     assert isinstance(res, CslLines) and res.count == 2
-    gaps = adjacency_gaps(res)
+    gaps = [p.delta for p in adjacent_pairs(res)]
     assert all(math.isclose(g, math.pi, abs_tol=1e-12) for g in gaps)
 
 
@@ -195,7 +194,7 @@ def test_shared_vertex_zero_arc():
 
 def test_adjacency_gaps_sum_to_full_turn():
     res = common_supporting_lines(Disk(Point(0.0, 0.0), 1.0), Disk(Point(6.0, 0.0), 2.0))
-    gaps = adjacency_gaps(res)
+    gaps = [p.delta for p in adjacent_pairs(res)]
     assert math.isclose(sum(gaps), TWO_PI, rel_tol=0, abs_tol=1e-9)
     assert all(g > 0 for g in gaps)
 
@@ -205,7 +204,7 @@ def test_single_line_gap_wraps():
     res = common_supporting_lines(Disk(Point(0.0, 0.0), 2.0), Disk(Point(1.0, 0.0), 1.0))
     assert isinstance(res, CslLines)
     assert res.count == 1
-    assert math.isclose(adjacency_gaps(res)[0], TWO_PI)
+    assert math.isclose(adjacent_pairs(res)[0].delta, TWO_PI)
 
 
 def test_slide_turn_disk_quarter():
