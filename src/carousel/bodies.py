@@ -31,6 +31,8 @@ from .kernel import (
     as_float_point,
     convex_hull,
     dot,
+    drop_one_hulls,
+    edge_halfplane,
     norm,
     point_array,
     point_in_polygon,
@@ -119,19 +121,22 @@ def polygonal_vertices(body) -> list:
     raise ModeMixError("smooth body has no vertex list")
 
 
-def edge_normal_angles(body) -> list:
-    """Outward edge normal angles of a polygonal body's hull, in hull order.
+def edge_normal_angles(body) -> tuple:
+    """Outward edge normal angles of a polygonal body's hull, in hull order,
+    computed once per body and kept on it.
 
     A segment yields both of its normals (max(n, 2) angles); a point or a
     body with a smooth member yields none.
     """
-    if not is_polygonal(body):
-        return []
-    verts = polygonal_vertices(body)
-    if len(verts) < 2:
-        return []
-    poly = convex_hull(verts)
-    return [poly.outward_normal_angle(i) for i in range(max(poly.n, 2))]
+    angles = body.__dict__.get("_edge_normal_angles")
+    if angles is None:
+        verts = polygonal_vertices(body) if is_polygonal(body) else ()
+        angles = ()
+        if len(verts) >= 2:
+            poly = convex_hull(verts)
+            angles = tuple(poly.outward_normal_angle(i) for i in range(max(poly.n, 2)))
+        body.__dict__["_edge_normal_angles"] = angles
+    return angles
 
 
 def as_float_body(body):
@@ -407,29 +412,104 @@ def contained_in_hull(inner, outer, extra: Sequence[Point] = (),
     """
     extra = [Point(p[0], p[1]) for p in extra]
     if outer is not None and is_polygonal(outer):
-        pts = polygonal_vertices(outer) + extra
-        return _contained_in_polygonal_hull(inner, pts, eps)
+        return _polygon_hull_test(inner, eps)(convex_hull(polygonal_vertices(outer) + extra))
     if outer is None:
-        return _contained_in_polygonal_hull(inner, extra, eps)
+        return _polygon_hull_test(inner, eps)(convex_hull(extra))
     return _contained_in_smooth_hull(inner, outer, extra, eps, GRID_THETA)
+
+
+def drop_one_containment(inner, outer, drops: Sequence[Point], eps: float = EPS):
+    """j -> contained_in_hull(inner, outer, drops without drops[j], eps).
+
+    For a polygonal outer body the hulls come from one drop_one_hulls run
+    and share one edge-column table, so every edge's numbers are computed
+    once across all j.
+    """
+    if not is_polygonal(outer):
+        return lambda j: contained_in_hull(
+            inner, outer, [v for k, v in enumerate(drops) if k != j], eps)
+    hulls = drop_one_hulls(polygonal_vertices(outer), drops)
+    test = _polygon_hull_test(inner, eps)
+    return lambda j: test(hulls(j))
 
 
 def _all_rational(points) -> bool:
     return not any(isinstance(c, float) for p in points for c in p)
 
 
-def _contained_in_polygonal_hull(inner, pts, eps):
-    hull = convex_hull(pts)
+def _polygon_hull_test(inner, eps):
+    """hull -> ContainmentResult of inner in a convex polygon hull."""
     if is_polygonal(inner):
-        verts = polygonal_vertices(inner)
-        exact = _all_rational(hull.vertices) and _all_rational(verts)
-        worst = _first_escaped(verts, hull, 0.0 if exact else eps)
-        margin = _polygon_hull_margin(verts, hull)
-        if worst is None:
-            return ContainmentResult(True, margin)
-        theta, m = _worst_edge_direction(worst, hull, inner)
-        return ContainmentResult(False, m, theta, support(inner, theta).contact)
-    # smooth inner against polygon hull: per-edge support comparison
+        return _VertexContainment(inner, eps)
+    return lambda hull: _smooth_in_polygon(inner, hull, eps)
+
+
+class _VertexContainment:
+    """Polygonal inner body against convex polygon hulls.
+
+    A vertex escapes where point_in_polygon would put it outside, at
+    tolerance 0 when the hull and the vertices are rational and eps
+    otherwise.  Each directed hull edge (a, b) gets its columns over the
+    inner vertices once and every hull with that edge reuses them: the
+    escape column, the unit-normal slack column float(hp.value(p)) / nl
+    and the edge's half-plane.  A hull gathers its columns in hull order,
+    so ties resolve to the first vertex and the first edge as in scalar
+    loops over them.
+    """
+
+    def __init__(self, inner, eps):
+        self.inner, self.eps = inner, eps
+        self.verts = polygonal_vertices(inner)
+        self.rational = _all_rational(self.verts)
+        self.p = point_array(self.verts)
+        self.pf = self.p.astype(float)
+        self.lp = np.max(np.abs(self.pf), axis=1)
+        self.columns = {}
+
+    def _edge(self, a, b, tol):
+        key = (a, b, tol)
+        cols = self.columns.get(key)
+        if cols is None:
+            hp = edge_halfplane(a, b)
+            nx, ny, c = float(hp.nx), float(hp.ny), float(hp.c)
+            p, pf = self.p, self.pf
+            cr = (b.x - a.x) * (p[:, 1] - a.y) - (b.y - a.y) * (p[:, 0] - a.x)
+            if tol == 0.0:
+                out = cr < 0
+            else:
+                la, lb = (max(abs(float(q.x)), abs(float(q.y))) for q in (a, b))
+                lim = np.maximum(max(la, lb), self.lp)
+                out = cr.astype(float) < -(tol * (1.0 + lim) * math.hypot(-ny, nx))
+            slack = (pf[:, 0] * nx + pf[:, 1] * ny - c) / math.hypot(nx, ny)
+            cols = self.columns[key] = (out, slack, hp)
+        return cols
+
+    def __call__(self, hull) -> ContainmentResult:
+        v = hull.vertices
+        tol = 0.0 if self.rational and _all_rational(v) else self.eps
+        if hull.n < 3:
+            worst = next((p for p in self.verts if not point_in_polygon(p, hull, tol)), None)
+            if worst is None:
+                return ContainmentResult(True, 0.0)
+            d = as_float_point(worst) - as_float_point(v[0])
+            theta = math.atan2(d.y, d.x)
+        else:
+            cols = [self._edge(a, b, tol) for a, b in zip(v, v[1:] + v[:1])]
+            bad = np.flatnonzero(np.logical_or.reduce([out for out, _, _ in cols]))
+            if not len(bad):
+                # the first minimum in (vertex, edge) order keeps the sign of a zero
+                flat = -np.stack([slack for _, slack, _ in cols], axis=1).ravel()
+                return ContainmentResult(True, float(flat[np.argmin(flat)]))
+            row = np.array([slack[bad[0]] for _, slack, _ in cols])
+            theta = cols[int(np.argmax(row))][2].normal_angle
+        n = unit(theta)
+        ev = support(self.inner, theta)
+        margin = max(float(dot(q, n)) for q in v) - ev.value
+        return ContainmentResult(False, margin, theta, ev.contact)
+
+
+def _smooth_in_polygon(inner, hull, eps):
+    """Smooth inner body against a polygon hull: per-edge support comparison."""
     scale = 1.0 + max(hull.max_coord(), origin_radius(inner))
     if hull.n >= 3:
         worst_val = math.inf
@@ -446,54 +526,6 @@ def _contained_in_polygonal_hull(inner, pts, eps):
                                  support(inner, worst_theta).contact)
     # hull degenerated to a point or segment; minimize the gap for a witness
     return _contained_in_smooth_hull(inner, PolygonBody(hull), (), eps, 2048)
-
-
-def _first_escaped(verts, hull, tol):
-    """First of verts that point_in_polygon(v, hull, tol) puts outside the hull;
-    for 3 or more hull vertices, one array pass with its operations in order."""
-    if hull.n < 3:
-        return next((v for v in verts if not point_in_polygon(v, hull, tol)), None)
-    a = point_array(hull.vertices)
-    b = np.concatenate((a[1:], a[:1]))
-    p = point_array(verts)
-    c = (b[:, 0] - a[:, 0]) * (p[:, 1:] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[:, :1] - a[:, 0])
-    if tol == 0.0:
-        out = c < 0
-    else:
-        la, lp = (np.max(np.abs(x.astype(float)), axis=1) for x in (a, p))
-        lim = np.maximum(np.maximum(la, np.concatenate((la[1:], la[:1]))), lp[:, None])
-        out = c.astype(float) < -(tol * (1.0 + lim) * hull.edge_arrays[4])
-    bad = np.flatnonzero(out.any(axis=1))
-    return verts[bad[0]] if len(bad) else None
-
-
-def _edge_slacks(points, hull):
-    """(point x edge) matrix of float(hp.value(p)) / nl over the edge half-planes."""
-    nx, ny, c, nl, _ = hull.edge_arrays
-    p = point_array(points).astype(float)
-    return (p[:, :1] * nx + p[:, 1:] * ny - c) / nl
-
-
-def _polygon_hull_margin(verts, hull):
-    """Min over inner vertices of the worst edge slack (float, unit normals);
-    the first minimum in (vertex, edge) order keeps the sign of a zero."""
-    if hull.n < 3:
-        return 0.0
-    flat = -_edge_slacks(verts, hull).ravel()
-    return float(flat[np.argmin(flat)])
-
-
-def _worst_edge_direction(p, hull, inner):
-    """Most violated hull edge normal for escaped point p, with margin."""
-    if hull.n >= 3:
-        theta = hull.edge_halfplane(int(np.argmax(_edge_slacks([p], hull)[0]))).normal_angle
-    else:
-        d = as_float_point(p) - as_float_point(hull.vertices[0])
-        theta = math.atan2(d.y, d.x)
-    n = unit(theta)
-    h_hull = max(float(dot(v, n)) for v in hull.vertices)
-    h_inner = support(inner, theta).value
-    return theta, h_hull - h_inner
 
 
 def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):

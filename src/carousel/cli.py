@@ -239,6 +239,8 @@ def _fuzz_config(doc, seed: int) -> FuzzConfig:
                 all(x in default for x in value) if key == "kinds" else
                 len(value) == 2 and all(type(x) is int for x in value)
                 and value[0] <= value[1])
+        elif key == "mode":
+            ok = value == "float"  # generate_fuzz_scene builds float bodies only
         else:
             ok = type(value) is type(default)
         if not ok:

@@ -18,6 +18,7 @@ and coerce their data on load.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -193,24 +194,10 @@ class ConvexPolygon:
 
     @cached_property
     def _edge_halfplanes(self) -> tuple:
-        out = []
-        for i in range(self.n):
-            nrm = self.outward_normal(i)
-            out.append(HalfPlane(nrm.x, nrm.y, dot(nrm, self.vertices[i])))
-        return tuple(out)
+        return tuple(edge_halfplane(*self.edge(i)) for i in range(self.n))
 
     def edge_halfplane(self, i: int) -> HalfPlane:
         return self._edge_halfplanes[i % self.n]
-
-    @cached_property
-    def edge_arrays(self) -> tuple:
-        """Read-only float arrays (nx, ny, c, nl, el) over the edge half-planes:
-        nl = norm((nx, ny)) and el = norm((-ny, nx)), the edge vector's norm."""
-        rows = [(float(hp.nx), float(hp.ny), float(hp.c)) for hp in self._edge_halfplanes]
-        out = np.array([(nx, ny, c, math.hypot(nx, ny), math.hypot(-ny, nx))
-                        for nx, ny, c in rows]).T
-        out.setflags(write=False)
-        return tuple(out)
 
     def signed_area2(self) -> Scalar:
         v = self.vertices
@@ -266,32 +253,87 @@ class ConvexPolygon:
         return cum[edge_index] + norm(as_float_point(p) - as_float_point(a))
 
 
+def edge_halfplane(a: Point, b: Point) -> HalfPlane:
+    """Closed half-plane left of the directed edge a -> b, with the
+    unnormalized outward normal (d.y, -d.x) of d = b - a."""
+    d = b - a
+    nrm = Point(d.y, -d.x)
+    return HalfPlane(nrm.x, nrm.y, dot(nrm, a))
+
+
+def _chain(stack: list, seq, marks=()) -> dict:
+    """Andrew's monotone chain: push seq onto stack in place, popping every
+    top point that the next point does not leave at a strict left turn.
+
+    Returns, for each position k of seq in marks, a copy of the stack as
+    it was before seq[k]; the stack after a prefix depends on that prefix
+    only, so a run resumed from such a copy does what a fresh run would.
+    """
+    saved = {}
+    for k, p in enumerate(seq):
+        if k in marks:
+            saved[k] = stack[:]
+        while len(stack) >= 2 and cross(stack[-2], stack[-1], p) <= 0:
+            stack.pop()
+        stack.append(p)
+    return saved
+
+
+def _hull_of_chains(pts: list, lower: list, upper: list) -> ConvexPolygon:
+    """The polygon of the sorted distinct points pts from their lower and
+    upper chains."""
+    if not pts:
+        raise EmptyInput("convex_hull of no points")
+    if len(pts) == 1:
+        return ConvexPolygon((pts[0],))
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:
+        return ConvexPolygon((pts[0], pts[-1]))
+    return ConvexPolygon(tuple(hull))
+
+
 def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     """Minimal strictly convex ccw cycle containing the input points.
 
     Collinear and interior points are dropped; the cycle starts at the
     lexicographically smallest vertex so equal inputs give equal outputs.
     """
-    if not points:
-        raise EmptyInput("convex_hull of no points")
     pts = sorted(set(Point(p[0], p[1]) for p in points))
-    if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
+    lower, upper = [], []
+    _chain(lower, pts)
+    _chain(upper, reversed(pts))
+    return _hull_of_chains(pts, lower, upper)
 
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
 
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        return ConvexPolygon((pts[0], pts[-1]))
-    return ConvexPolygon(tuple(hull))
+def drop_one_hulls(points: Sequence[Point], drops: Sequence[Point]):
+    """j -> convex_hull(points + drops without drops[j]), from one run.
+
+    The points are sorted and chained once, keeping the lower and upper
+    stacks just before each drop; hull j resumes both from there and
+    chains the rest without drops[j].  Each hull is the one convex_hull
+    builds, by the same comparisons on the same stacks.  A drop that
+    occurs twice in the input leaves the point set, and so the hull,
+    unchanged.
+    """
+    drops = [Point(p[0], p[1]) for p in drops]
+    listed = [Point(p[0], p[1]) for p in points] + drops
+    pts = sorted(set(listed))
+    at = {p: k for k, p in enumerate(pts)}
+    counts = Counter(listed)
+    single = {at[p] for p in drops if counts[p] == 1}
+    lower, upper = [], []
+    below = _chain(lower, pts, single)
+    above = _chain(upper, pts[::-1], {len(pts) - 1 - k for k in single})
+
+    def hull(j: int) -> ConvexPolygon:
+        k = at[drops[j]]
+        if k not in single:
+            return _hull_of_chains(pts, lower, upper)
+        lo, up = below[k][:], above[len(pts) - 1 - k][:]
+        _chain(lo, pts[k + 1:])
+        _chain(up, pts[k - 1::-1] if k else ())
+        return _hull_of_chains(pts[:k] + pts[k + 1:], lo, up)
+    return hull
 
 
 def point_in_polygon(p: Point, poly: ConvexPolygon, eps: float = 0.0) -> bool:

@@ -25,6 +25,7 @@ from .bodies import (
     PolygonBody,
     body_in_polygon,
     contained_in_hull,
+    drop_one_containment,
     is_polygonal,
     polygonal_vertices,
 )
@@ -180,10 +181,10 @@ def _containment_scan(scene: Scene, eps: float, reason: Optional[str]) -> Certif
     fragile_at = FRAGILE_FACTOR * scene.tol.eps
     refutations = []
     for i in (0, 1):
-        inner = scene.body(i)
-        outer = scene.body(1 - i)
+        test = drop_one_containment(scene.body(i), scene.body(1 - i),
+                                    scene.container.vertices, eps)
         for j in range(scene.n):
-            res = contained_in_hull(inner, outer, scene.vertices_except(j), eps=eps)
+            res = test(j)
             if res.contained:
                 return Certificate("holds", i, j, res, None, reason,
                                    abs(res.margin) <= fragile_at, res.margin)

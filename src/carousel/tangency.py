@@ -476,8 +476,8 @@ def gap_sign_counts(a0, a1, pairs: List[AdjacentPair],
         chunks.append(np.concatenate(
             (pair.line.normal - pair.delta * ks / (GAP_PROBES + 1), kinks)))
     thetas = np.concatenate(chunks)
-    deltas = support_batch(a0, np.cos(thetas), np.sin(thetas)) \
-        - support_batch(a1, np.cos(thetas), np.sin(thetas))
+    ct, st = np.cos(thetas), np.sin(thetas)
+    deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
     thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     bounds = np.cumsum([len(c) for c in chunks])[:-1]
     return [(int(np.count_nonzero(d > thr)), int(np.count_nonzero(d < -thr)))

@@ -18,16 +18,27 @@ from carousel.bodies import (
     body_contains_point,
     body_in_polygon,
     contained_in_hull,
+    edge_normal_angles,
     grid_dirs,
+    is_polygonal,
     origin_radius,
+    polygonal_vertices,
     support,
     support_batch,
     support_fn,
     support_grid,
     supporting_line,
 )
+from carousel.constructions import (
+    FuzzConfig,
+    generate_fuzz_scene,
+    generate_integer_scene,
+    scene_as_float,
+    sharpness_construct,
+)
 from carousel.errors import InvalidBody
 from carousel.kernel import (
+    EPS,
     ConvexPolygon,
     HalfPlane,
     Point,
@@ -35,6 +46,7 @@ from carousel.kernel import (
     circ_dist,
     convex_hull,
     dot,
+    drop_one_hulls,
     norm,
     point_in_polygon,
     unit,
@@ -286,6 +298,24 @@ def test_support_grids_are_memoized_and_equal_fresh_batches():
                                                           np.sin(thetas)))
 
 
+def test_edge_normal_angles_are_memoized_and_equal_fresh_hulls():
+    rng = random.Random(2026)
+    polygonal = 0
+    for _ in range(20):
+        bodies_ = _mixed_bodies(rng)
+        bodies_.append(HullBody((bodies_[0], bodies_[1])))
+        for body in bodies_:
+            angles = edge_normal_angles(body)
+            assert edge_normal_angles(body) is angles
+            want = []
+            if is_polygonal(body) and len(polygonal_vertices(body)) >= 2:
+                poly = convex_hull(polygonal_vertices(body))
+                want = [poly.outward_normal_angle(i) for i in range(max(poly.n, 2))]
+                polygonal += 1
+            assert list(angles) == want
+    assert polygonal >= 20
+
+
 # The scalar loops that the array passes of polygonal containment replaced,
 # kept as the reference: outputs must agree to the bit, zero signs included.
 
@@ -379,29 +409,106 @@ def _signed_zero_cases():
                convex_hull([Point(num(x), num(y)) for x, y in ((-3, 6), (1, -2), (3, -5), (4, 5))]))
 
 
+def _oracle_polygonal_containment(inner, hull, eps):
+    """Polygonal inner body in a polygon hull by the scalar loops: the
+    reference for the edge-column table, outputs equal to the bit."""
+    verts = polygonal_vertices(inner)
+    rational = not any(isinstance(c, float) for p in (*verts, *hull.vertices) for c in p)
+    worst = _oracle_first_escaped(verts, hull, 0.0 if rational else eps)
+    if worst is None:
+        return ContainmentResult(True, _oracle_hull_margin(verts, hull))
+    theta, m = _oracle_worst_edge_direction(worst, hull, inner)
+    return ContainmentResult(False, m, theta, support(inner, theta).contact)
+
+
 def test_polygonal_containment_kernels_match_scalar_oracles():
     rng = random.Random(2026)
     seen = Counter()
     cases = [*_signed_zero_cases(), *(_hull_case(rng) for _ in range(2000))]
     for verts, hull in cases:
-        for tol in (0.0, 1e-9, 1e-3):
-            got = bodies._first_escaped(verts, hull, tol)
-            assert repr(got) == repr(_oracle_first_escaped(verts, hull, tol))
-            seen["escaped" if got is not None else "inside"] += 1
-        margin = bodies._polygon_hull_margin(verts, hull)
-        assert repr(margin) == repr(_oracle_hull_margin(verts, hull))
-        seen["zero margin"] += margin == 0.0
-        seen["negative zero margin"] += repr(margin) == "-0.0"
         inner = HullBody(tuple(PointBody(v) for v in verts))
-        for p in verts:
-            assert repr(bodies._worst_edge_direction(p, hull, inner)) \
-                == repr(_oracle_worst_edge_direction(p, hull, inner))
-            if hull.n >= 3:
-                slacks = bodies._edge_slacks([p], hull)[0]
-                seen["worst edge tie"] += int(np.sum(slacks == slacks.max()) > 1)
+        for eps in (0.0, 1e-9, 1e-3):
+            got = bodies._polygon_hull_test(inner, eps)(hull)
+            want = _oracle_polygonal_containment(inner, hull, eps)
+            assert repr(got) == repr(want)
+            seen["inside" if got.contained else "escaped"] += 1
+            seen["zero margin"] += got.margin == 0.0
+            seen["negative zero margin"] += repr(got.margin) == "-0.0"
+        if hull.n >= 3:
+            planes = [hull.edge_halfplane(i) for i in range(hull.n)]
+            for p in verts:
+                slacks = [float(hp.value(as_float_point(p))) / norm(Point(hp.nx, hp.ny))
+                          for hp in planes]
+                seen["worst edge tie"] += slacks.count(max(slacks)) > 1
         seen["cases"] += 1
     assert seen["cases"] >= 2000
     assert min(seen.values()) > 50, seen
+
+
+def test_polygonal_containment_shares_edge_columns_across_hulls():
+    # one table serves hulls that share edges; each gives the fresh result
+    rng = random.Random(7411)
+    for _ in range(300):
+        verts, hull = _hull_case(rng)
+        inner = HullBody(tuple(PointBody(v) for v in verts))
+        hulls = [hull] + [convex_hull([v for k, v in enumerate(hull.vertices) if k != j])
+                          for j in range(hull.n) if hull.n > 1]
+        for eps in (0.0, 1e-9):
+            shared = bodies._polygon_hull_test(inner, eps)
+            for h in hulls:
+                assert repr(shared(h)) == repr(_oracle_polygonal_containment(inner, h, eps))
+
+
+def _drop_one_cases():
+    """(inner, outer, container vertices) for the drop-one scan."""
+    for n in range(4, 66, 2):
+        inst = sharpness_construct(n)
+        yield PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container.vertices
+    for k in range(150):
+        scene = generate_integer_scene(f"2026:{k}")
+        for sc in (scene, scene_as_float(scene)):
+            yield sc.a0, sc.a1, sc.container.vertices
+    cfg = FuzzConfig(seed=2026, kinds=("polygon",))
+    for k in range(60):
+        sc = generate_fuzz_scene(cfg, k)
+        yield sc.a0, sc.a1, sc.container.vertices
+    for num in (int, F, float):
+        def poly(*xy):
+            return PolygonBody(convex_hull([Point(num(x), num(y)) for x, y in xy]))
+        box = [Point(num(x), num(y)) for x, y in ((0, 0), (4, 0), (4, 4), (0, 4))]
+        # a vertex on a container vertex, on a container edge, collinear triples
+        yield poly((1, 1), (2, 1), (1, 2)), poly((4, 4), (2, 0), (1, 3)), box
+        yield poly((1, 1), (3, 3)), poly((2, 2), (3, 1), (1, 0)), box
+        yield PointBody(Point(num(2), num(2))), poly((0, 0), (2, 2)), box
+        # hulls of one to three points
+        yield PointBody(Point(num(1), num(1))), PointBody(Point(num(1), num(1))), box[:1]
+        yield PointBody(Point(num(1), num(1))), PointBody(Point(num(2), num(2))), box[:1]
+        yield poly((1, 1), (2, 2)), PointBody(Point(num(1), num(1))), box[::2]
+        yield poly((1, 1), (2, 1)), poly((3, 1), (0, 1)), box[:3]
+
+
+def test_drop_one_containment_matches_per_test_oracle():
+    # every (i, j) of the shared scan against a fresh hull and the scalar
+    # loops; sharpness 26..62, whose loops take seconds, against the hull only
+    seen = Counter()
+    for a0, a1, drops in _drop_one_cases():
+        drops = list(drops)
+        scalar = len(drops) <= 24 or len(drops) == 64
+        for inner, outer in ((a0, a1), (a1, a0)):
+            hulls = drop_one_hulls(polygonal_vertices(outer), drops)
+            scan = bodies.drop_one_containment(inner, outer, drops, EPS)
+            for j in range(len(drops)):
+                fresh = convex_hull(polygonal_vertices(outer) + drops[:j] + drops[j + 1:])
+                hull = hulls(j)
+                assert hull.vertices == fresh.vertices
+                assert repr(hull.vertices) == repr(fresh.vertices)
+                if not scalar:
+                    continue
+                got = scan(j)
+                assert repr(got) == repr(_oracle_polygonal_containment(inner, fresh, EPS))
+                seen["holds" if got.contained else "fails"] += 1
+                seen[min(fresh.n, 3)] += 1
+    assert min(seen[key] for key in ("holds", "fails", 1, 2, 3)) > 0, seen
 
 
 def test_polygonal_containment_skips_scalar_kernels(monkeypatch):

@@ -207,6 +207,8 @@ def test_cmd_fuzz_small_campaign(tmp_path, capsys, monkeypatch):
     {"n_range": [5]},
     {"kinds": ["blob"]},
     {"seed": "7"},
+    {"mode": "weird"},
+    {"mode": "exact"},
 ])
 def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -218,7 +220,8 @@ def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
 def test_cmd_fuzz_config_overrides_defaults(tmp_path, monkeypatch):
     monkeypatch.setenv("CAROUSEL_WORKERS", "1")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"n_range": [4, 4], "kinds": ["disk"], "seed": 3}),
+    path.write_text(json.dumps({"n_range": [4, 4], "kinds": ["disk"], "seed": 3,
+                                "mode": "float"}),
                     encoding="utf-8")
     out = tmp_path / "report.json"
     assert main(["fuzz", "--seeds", "3", "--config", str(path), "--out", str(out)]) == 0

@@ -56,6 +56,19 @@ def test_sharpness_svg_golden(tmp_path):
     assert svg == (GOLDEN / "sharpness4.svg").read_bytes()
 
 
+def test_sharpness_fails_certificate_golden(tmp_path):
+    # every drop is refuted; the instance's symmetry makes edge slacks tie,
+    # so the certificate pins the first-occurrence witness choices
+    got = _cli_bytes(tmp_path, ["gen", "--kind", "sharpness", "--n", "6"], "sh6.json")
+    assert got == (GOLDEN / "sharpness6.json").read_bytes()
+    out = tmp_path / "c6.json"
+    assert main(["check", str(GOLDEN / "sharpness6.json"), "--method", "brute",
+                 "--out", str(out)]) == 2
+    assert out.read_bytes() == (GOLDEN / "sharpness6_cert.json").read_bytes()
+    cert = load_document(str(out))["certificate"]
+    assert cert["verdict"] == "fails" and len(cert["refutations"]) == 12
+
+
 def test_sector_demo_svg_golden(tmp_path):
     svg = _cli_bytes(tmp_path, ["render", str(GOLDEN / "sector_demo.json"),
                                 "--layers", "sectors,container,sweeps,bodies,csl"],
@@ -68,7 +81,7 @@ def test_sector_demo_svg_golden(tmp_path):
 
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "integer_seed3.json", "sector_demo.json",
-                 "sharpness4.json"):
+                 "sharpness4.json", "sharpness6.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

@@ -18,6 +18,7 @@ from carousel.kernel import (
     cross,
     cw_gap,
     dot,
+    drop_one_hulls,
     point_in_polygon,
     unit,
     wrap_angle,
@@ -189,6 +190,41 @@ def test_polygon_orientation_positive_area(raw):
     h = convex_hull(pts)
     if h.n >= 3:
         assert h.signed_area2() > 0
+
+
+def _fresh_or_error(points):
+    try:
+        return convex_hull(points)
+    except EmptyInput:
+        return EmptyInput
+
+
+def test_drop_one_hulls_equal_fresh_hulls():
+    # a small grid gives duplicates, collinear triples, points on edges and
+    # hulls of one to three points; drops may repeat a point or each other
+    rng = random.Random(2026)
+    seen = set()
+    for trial in range(3000):
+        num = (int, F, float)[trial % 3]
+
+        def grid():
+            return Point(num(rng.randint(0, 4)), num(rng.randint(0, 4)))
+        points = [grid() for _ in range(rng.randint(0, 6))]
+        drops = [grid() for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            drops.append(rng.choice(points or drops))
+        hulls = drop_one_hulls(points, drops)
+        for j in range(len(drops)):
+            want = _fresh_or_error(points + drops[:j] + drops[j + 1:])
+            if want is EmptyInput:
+                with pytest.raises(EmptyInput):
+                    hulls(j)
+                seen.add("empty")
+                continue
+            got = hulls(j)
+            assert repr(got.vertices) == repr(want.vertices)
+            seen.add(got.n if got.n < 4 else "polygon")
+    assert seen == {"empty", 1, 2, 3, "polygon"}
 
 
 def test_exact_float_hull_agreement():

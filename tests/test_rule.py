@@ -351,3 +351,40 @@ def test_sweep_partition_computes_each_line_exit_once(monkeypatch):
         assert len(calls) == csl.count
         checked += 1
     assert checked >= 5
+
+
+def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):
+    from carousel import kernel
+    from carousel.constructions import sharpness_construct
+
+    inst = sharpness_construct(8)
+    scene = Scene(PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container)
+    csl = scene_csl(scene)
+    hulls = Counter()
+    builds = Counter()
+    real_hull, real_edge = kernel.convex_hull, bodies.edge_halfplane
+
+    def counting_hull(points):
+        hulls["convex_hull"] += 1
+        return real_hull(points)
+
+    def counting_edge(a, b):
+        builds[a, b] += 1
+        return real_edge(a, b)
+
+    for module in (kernel, bodies, rule):
+        monkeypatch.setattr(module, "convex_hull", counting_hull)
+    monkeypatch.setattr(bodies, "edge_halfplane", counting_edge)
+    cert = check_carousel_bruteforce(scene, csl)
+    assert cert.verdict == "fails" and len(cert.refutations) == 16
+    assert hulls == Counter()
+    # one table per inner body: each directed edge of that body's hulls once
+    want = Counter()
+    for i in (0, 1):
+        edges = set()
+        for j in range(scene.n):
+            v = real_hull(list(scene.body(1 - i).poly.vertices)
+                          + scene.vertices_except(j)).vertices
+            edges.update(zip(v, v[1:] + v[:1]))
+        want.update(edges)
+    assert builds == want
