@@ -79,9 +79,19 @@ def test_sector_demo_svg_golden(tmp_path):
     assert "#9e9e9e" in text and "#dddddd" in text  # dark base, light expansion
 
 
+def test_ellipse_sector_svg_golden(tmp_path):
+    # an ellipse/ellipse scene whose render clips two 514-plane sectors
+    got = _cli_bytes(tmp_path, ["gen", "--kind", "fuzz", "--seed", "2026", "--index", "0"],
+                     "f.json")
+    assert got == (GOLDEN / "fuzz_seed2026_0.json").read_bytes()
+    svg = _cli_bytes(tmp_path, ["render", str(GOLDEN / "fuzz_seed2026_0.json")], "f.svg")
+    assert svg == (GOLDEN / "fuzz_seed2026_0.svg").read_bytes()
+    assert "#9e9e9e" in svg.decode() and "#dddddd" in svg.decode()
+
+
 def test_goldens_parse_and_validate():
-    for name in ("fuzz_seed1.json", "integer_seed3.json", "sector_demo.json",
-                 "sharpness4.json", "sharpness6.json"):
+    for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
+                 "sector_demo.json", "sharpness4.json", "sharpness6.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carousel import kernel
+from carousel.bodies import Disk, Ellipse
 from carousel.errors import EmptyInput, InvalidPolygon
 from carousel.kernel import (
     ConvexPolygon,
@@ -19,10 +22,13 @@ from carousel.kernel import (
     cw_gap,
     dot,
     drop_one_hulls,
+    intersect_halfplanes,
+    norm,
     point_in_polygon,
     unit,
     wrap_angle,
 )
+from carousel.sectors import NormalArc, sector_from_arc
 
 F = Fraction
 
@@ -137,6 +143,195 @@ def test_clip_to_single_edge_point():
     res = clip(UNIT_SQUARE, HalfPlane(F(1), F(1), F(0)))
     assert res is not None
     assert res.vertices == (Point(F(0), F(0)),)
+
+
+def test_clip_parallel_edge_with_split_tolerance():
+    # the bottom edge is parallel to the line, so both ends have the same
+    # value, but the far end's larger tolerance puts only it inside
+    square = ConvexPolygon(((0., 0.), (10., 0.), (10., 10.), (0., 10.)))
+    res = clip(square, HalfPlane(0.0, -1.0, -5e-9), 1e-9)
+    assert res is not None
+    t = (-10.0 + 5e-9) / -10.0
+    assert res.vertices == (Point(0.0, 10.0 + t * (0.0 - 10.0)), Point(10.0, 0.0),
+                            Point(10.0, 10.0), Point(0.0, 10.0))
+
+
+def _oracle_clip(poly, hp, eps=0.0):
+    """The scalar clip: a Point loop over the edges, then convex_hull of
+    the kept points (an edge parallel to the line gets no crossing)."""
+    verts = poly.vertices
+    vals = [hp.value(p) for p in verts]
+    if eps == 0.0:
+        tols = [0.0] * len(verts)
+    else:
+        nl = norm(Point(hp.nx, hp.ny))
+        tols = [eps * (1.0 + p.linf()) * nl for p in verts]
+    out = []
+    n = len(verts)
+    if n == 1:
+        return poly if float(vals[0]) <= tols[0] else None
+    for i in range(n if n > 2 else 1):
+        a, b = verts[i], verts[(i + 1) % n]
+        va, vb = vals[i], vals[(i + 1) % n]
+        ina = float(va) <= tols[i]
+        inb = float(vb) <= tols[(i + 1) % n]
+        if ina:
+            out.append(a)
+        if ina != inb and va - vb != 0:
+            if isinstance(va, int) and isinstance(vb, int):
+                t = Fraction(va, va - vb)
+            else:
+                t = va / (va - vb)
+            out.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    if n == 2 and float(vals[1]) <= tols[1]:
+        out.append(verts[1])
+    if not out:
+        return None
+    return convex_hull(out)
+
+
+def _oracle_intersect(seed, planes, eps=0.0):
+    poly = seed
+    for hp in planes:
+        if poly is None:
+            return None
+        poly = _oracle_clip(poly, hp, eps)
+    return poly
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # outcomes that raise compare by exception type
+        return type(e)
+
+
+def _plane_sequences(rng):
+    """(category, seed polygon, planes, eps) cases for the clip oracle."""
+    def fpoly(k, r=3.0):
+        return convex_hull([Point(rng.uniform(-r, r), rng.uniform(-r, r)) for _ in range(k)])
+
+    def qpoly(k, den=4):
+        return convex_hull([Point(F(rng.randint(-12, 12), rng.randint(1, den)),
+                                  F(rng.randint(-12, 12), rng.randint(1, den)))
+                            for _ in range(k)])
+
+    def qplane():
+        return HalfPlane(F(rng.randint(-5, 5), rng.randint(1, 3)) or F(1),
+                         F(rng.randint(-5, 5), rng.randint(1, 3)),
+                         F(rng.randint(-20, 20), rng.randint(1, 4)))
+
+    def fplane(r=2.0):
+        t = rng.uniform(0.0, math.tau)
+        return HalfPlane(math.cos(t), math.sin(t), rng.uniform(-0.5, r))
+
+    def through(poly):
+        v = rng.choice(poly.vertices)
+        nx, ny = rng.choice(((1, 0), (0, -1), (1, 1), (-2, 1), (3, -1)))
+        if isinstance(v.x, float):
+            nx, ny = float(nx), float(ny)
+        return HalfPlane(nx, ny, nx * v.x + ny * v.y)
+
+    for k in range(6):
+        body = Disk(Point(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)), rng.uniform(0.2, 1.0)) \
+            if k % 2 else Ellipse(Point(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+                                  1.0, rng.uniform(0.05, 1.0), rng.uniform(0.0, math.pi))
+        arc = NormalArc(rng.uniform(0.0, math.tau), rng.uniform(0.3, math.tau))
+        container = convex_hull([Point(*(rng.uniform(2.0, 4.0) * c for c in unit(t)))
+                                 for t in sorted(rng.uniform(0.0, math.tau) for _ in range(8))])
+        yield "sector", container, sector_from_arc(body, arc).planes, (0.0, 1e-9)[k < 3]
+    for _ in range(400):
+        yield "rational", qpoly(rng.randint(3, 9)), [qplane() for _ in range(rng.randint(1, 6))], 0.0
+    for _ in range(120):  # integer coordinates and planes keep crossings exact
+        poly = convex_hull([Point(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(7)])
+        planes = [HalfPlane(rng.randint(-3, 3) or 1, rng.randint(-3, 3), rng.randint(-9, 9))
+                  for _ in range(rng.randint(1, 5))]
+        yield "integer", poly, planes, 0.0
+    for _ in range(300):
+        yield "rational-float", qpoly(rng.randint(3, 9)), \
+            [fplane(1.5) for _ in range(rng.randint(1, 8))], rng.choice((0.0, 1e-9))
+    for _ in range(300):
+        poly = rng.choice((fpoly, qpoly))(rng.randint(3, 9))
+        planes = [through(poly) if rng.random() < 0.7 else fplane() for _ in range(rng.randint(1, 5))]
+        yield "vertex", poly, planes, rng.choice((0.0, 1e-9))
+    for _ in range(250):  # hulls of grid points have vertical edges; vertical lines too
+        poly = convex_hull([Point(float(rng.randint(-4, 4)), rng.uniform(-3, 3)) for _ in range(8)])
+        planes = [HalfPlane(rng.choice((1.0, -1.0)), 0.0, float(rng.randint(-3, 3)))
+                  if rng.random() < 0.5 else fplane() for _ in range(rng.randint(1, 5))]
+        yield "vertical", poly, planes, rng.choice((0.0, 1e-9, 1e-3))
+    for _ in range(300):  # lines within a hair of a vertex, in sequence like a sector
+        poly = fpoly(rng.randint(3, 12))
+        planes = []
+        for _ in range(rng.randint(5, 40)):
+            t = rng.uniform(0.0, math.tau)
+            h = max(p.x * math.cos(t) + p.y * math.sin(t) for p in poly.vertices)
+            planes.append(HalfPlane(math.cos(t), math.sin(t), h + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-15, -7)))
+        yield "tangent", poly, planes, rng.choice((0.0, 1e-9))
+    for _ in range(300):  # a hair-thin sliver beyond one edge: nearly collinear cycles
+        poly = fpoly(rng.randint(3, 6))
+        hp = poly.edge_halfplane(rng.randrange(poly.n))
+        shift = rng.choice((1e-16, 1e-15, 1e-14, 1e-13)) * rng.choice((1, -1))
+        yield "sliver", poly, [HalfPlane(-hp.nx, -hp.ny, -hp.c + shift * norm(Point(hp.nx, hp.ny)))], \
+            rng.choice((0.0, 1e-9))
+    for _ in range(200):
+        num = rng.choice((float, lambda v: F(v).limit_denominator(8)))
+        pts = [Point(num(rng.uniform(-2, 2)), num(rng.uniform(-2, 2))) for _ in range(rng.randint(1, 2))]
+        seed = ConvexPolygon(tuple(dict.fromkeys(pts)))
+        planes = [through(seed) if rng.random() < 0.4 else fplane(1.0) for _ in range(rng.randint(1, 4))]
+        yield "degenerate seed", seed, planes, rng.choice((0.0, 1e-9))
+    for _ in range(150):
+        poly = rng.choice((fpoly, qpoly))(rng.randint(3, 8))
+        planes = [fplane() for _ in range(rng.randint(0, 3))] + [HalfPlane(1.0, 0.0, -100.0)]
+        yield "empty", poly, planes, rng.choice((0.0, 1e-9))
+    for ring in NEAR_COLLINEAR_RINGS:
+        yield "near-collinear", ConvexPolygon(ring), [HalfPlane(1.0, 0.0, 5.0)], 0.0
+
+
+# Nearly collinear rings that ConvexPolygon accepts (every corner a strict
+# left turn in floats) but whose hull convex_hull's chains do not rebuild:
+# the first raises InvalidPolygon, the second comes back with a vertex twice.
+NEAR_COLLINEAR_RINGS = (
+    ((0.5537164267218377, -0.38065116729387644), (0.3594202184854566, -0.24708265659642098),
+     (-0.41352776942280833, 0.2842787761799608), (-0.822022043155471, 0.565097286567617)),
+    ((-0.09604905281163031, 0.2246765703523066), (0.23543229741106772, -0.5507198622377036),
+     (0.339234127683442, -0.7935316187224623), (0.17924189550655945, -0.4192800779081076),
+     (-0.34345929492385946, 0.8034150694900992), (-0.3436014039034044, 0.8037474887821774),
+     (-0.3762810390990609, 0.8801912239486691)),
+)
+
+
+def test_intersect_halfplanes_matches_scalar_clip_oracle(monkeypatch):
+    fallbacks = []
+
+    def counted_hull(points):
+        fallbacks.append(len(points))
+        return convex_hull(points)
+    monkeypatch.setattr(kernel, "convex_hull", counted_hull)
+    rng = random.Random(2026)
+    kinds, outcomes = Counter(), Counter()
+    for kind, seed, planes, eps in _plane_sequences(rng):
+        want = _outcome(_oracle_intersect, seed, planes, eps)
+        assert _outcome(intersect_halfplanes, seed, planes, eps) == want, (kind, seed, planes, eps)
+        if planes:
+            assert _outcome(clip, seed, planes[0], eps) == _outcome(_oracle_clip, seed, planes[0], eps)
+        kinds[kind] += 1
+        outcomes["empty" if want == "None" else "raised" if want is InvalidPolygon else "polygon"] += 1
+    assert sum(kinds.values()) >= 2000 and len(kinds) == 11
+    assert min(outcomes["empty"], outcomes["raised"], outcomes["polygon"]) >= 1
+    assert any(k >= 3 for k in fallbacks)  # the fallback ran on a full cycle
+
+
+def test_rational_clip_takes_the_array_path(monkeypatch):
+    hulls = []
+    monkeypatch.setattr(kernel, "convex_hull", lambda pts: hulls.append(pts) or convex_hull(pts))
+    octagon = ConvexPolygon((Point(F(0), F(-2)), Point(F(2), F(-3)), Point(F(4), F(-1)),
+                             Point(F(5), F(1)), Point(F(3), F(4)), Point(F(1), F(5)),
+                             Point(F(-1), F(3)), Point(F(-2), F(1))))
+    planes = [HalfPlane(F(1), F(1), F(15, 2)), HalfPlane(F(-1), F(2), F(19, 2)),
+              HalfPlane(F(1, 3), F(-1), F(3))]
+    got = intersect_halfplanes(octagon, planes)
+    assert repr(got) == repr(_oracle_intersect(octagon, planes))
+    assert hulls == []
 
 
 def test_point_in_polygon_basics():

@@ -16,6 +16,7 @@ from carousel.bodies import (
     support_batch,
     support_dir,
 )
+from carousel import kernel
 from carousel.errors import EndpointNotVertex, ExpansionTooWide
 from carousel.kernel import (
     EPS,
@@ -130,6 +131,21 @@ def test_expand_sector_identity_and_superset():
     for v in base_clip.vertices:
         assert point_in_polygon(v, grown_clip, 1e-5)
     assert grown_clip.area > base_clip.area - 1e-5
+
+
+def test_smooth_sector_clip_builds_no_hull_per_plane(monkeypatch):
+    # 514 half-planes clip the square as coordinate arrays: a hull is built
+    # only when a clip's cycle is not provably convex_hull's own result
+    hulls, polygons = [], []
+    monkeypatch.setattr(kernel, "convex_hull",
+                        lambda pts: hulls.append(pts) or convex_hull(pts))
+    validate = ConvexPolygon.__post_init__
+    monkeypatch.setattr(ConvexPolygon, "__post_init__",
+                        lambda self: polygons.append(self) or validate(self))
+    sec = sector_from_arc(Ellipse(Point(0.3, -0.2), 0.9, 0.4, 0.7), NormalArc(2.0, 4.5))
+    clipped = sec.clipped(BIG_SQUARE, 1e-9)
+    assert len(sec.planes) == 514 and clipped is not None and clipped.n > 300
+    assert len(hulls) <= 5 and len(polygons) <= 6
 
 
 def test_expand_sector_full_gap_single_halfplane():
