@@ -4,8 +4,8 @@ Subcommands: gen (scene generators), csl (common supporting lines),
 check (carousel rule deciders), fuzz (seeded campaign), render (SVG).
 
 Exit codes: 0 ok/holds, 2 fails, 3 degenerate scene, 4 precondition
-violation, 64 malformed input, 65 scene invariant violation, 66 missing
-annotation layer with --no-compute, 70 internal disagreement.
+violation, 64 malformed input or usage, 65 scene invariant violation, 66
+missing annotation layer with --no-compute, 70 internal disagreement.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import cache
 
 from .constructions import (
     FuzzConfig,
@@ -24,13 +24,7 @@ from .constructions import (
     sharpness_construct,
 )
 from .bodies import PolygonBody
-from .errors import (
-    CommonLineCountTooLarge,
-    CrossValidationDisagreement,
-    GeometryError,
-    ModeMixError,
-    SceneInvariantError,
-)
+from .errors import CommonLineCountTooLarge, CrossValidationDisagreement, GeometryError
 from .kernel import as_float_point
 from .rule import (
     Scene,
@@ -64,6 +58,11 @@ EXIT_BAD_INPUT = 64
 EXIT_INVARIANT = 65
 EXIT_MISSING_LAYER = 66
 EXIT_DISAGREEMENT = 70
+
+_ERROR_EXITS = ((DocumentError, EXIT_BAD_INPUT),
+                (CommonLineCountTooLarge, EXIT_PRECONDITION),
+                (CrossValidationDisagreement, EXIT_DISAGREEMENT),
+                (GeometryError, EXIT_INVARIANT))  # scene invariants, mode mixes
 
 
 def _load_scene(path: str):
@@ -163,7 +162,10 @@ def _fuzz_worker(payload):
 def _worker_count() -> int:
     env = os.environ.get("CAROUSEL_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DocumentError(f"CAROUSEL_WORKERS is not an integer: {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -175,6 +177,9 @@ def run_campaign(cfg: FuzzConfig, count: int, workers: int | None = None):
     if workers <= 1:
         records = [_fuzz_worker(p) for p in payloads]
     else:
+        # imported here: it loads multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_fuzz_worker, payloads, chunksize=32))
     records.sort(key=lambda r: r["index"])
@@ -250,6 +255,8 @@ def _fuzz_config(doc, seed: int) -> FuzzConfig:
 
 
 def cmd_fuzz(args) -> int:
+    if args.seeds < 0:
+        raise DocumentError(f"--seeds must be non-negative, got {args.seeds}")
     cfg = _fuzz_config(load_document(args.config) if args.config else {}, args.seed)
     records = run_campaign(cfg, args.seeds)
     report = summarize_campaign(records)
@@ -349,10 +356,20 @@ def cmd_render(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits EXIT_BAD_INPUT (sysexits EX_USAGE), not argparse's 2,
+    which reads as "rule fails"; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="carousel",
-                                 description="common supporting lines and the "
-                                             "weak carousel rule")
+    """The parser, built once per process: parse_args keeps no state in it."""
+    ap = _Parser(prog="carousel",
+                 description="common supporting lines and the weak carousel rule")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a scene")
@@ -402,21 +419,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (SceneInvariantError, ModeMixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except CommonLineCountTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except CrossValidationDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        # the first match wins: specific geometry errors before their base
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +328,95 @@ def test_module_entrypoint_subprocess(disk_scene, tmp_path):
                         capture_output=True, text=True, env=env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
+INTEGER_GOLDEN = str(GOLDEN / "integer_seed3.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(*args):
+    """A new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", INTEGER_GOLDEN, "--method", "bogus"],
+    ["check"],
+    [],
+    ["frobnicate"],
+    ["fuzz", "--seeds", "many"],
+    ["render", INTEGER_GOLDEN],  # --out is required
+])
+def test_usage_errors_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: carousel") and "error:" in err
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: carousel")
+
+
+def test_malformed_worker_count_exits_64(capsys, monkeypatch):
+    from carousel import cli
+
+    def no_worker(payload):
+        raise AssertionError("a worker ran")
+
+    monkeypatch.setattr(cli, "_fuzz_worker", no_worker)
+    monkeypatch.setenv("CAROUSEL_WORKERS", "abc")
+    assert main(["fuzz", "--seeds", "2"]) == 64
+    assert capsys.readouterr().err.startswith("error: CAROUSEL_WORKERS")
+
+
+def test_negative_seed_count_exits_64(capsys, monkeypatch):
+    monkeypatch.setenv("CAROUSEL_WORKERS", "1")
+    assert main(["fuzz", "--seeds", "-5"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --seeds")
+
+
+def test_cli_import_loads_every_submodule_but_no_process_pool():
+    """`import carousel.cli` must load every carousel.* submodule: the
+    benchmark's tracer imports carousel.cli and then finds the modules it
+    probes in sys.modules.  The process pool (concurrent.futures.process,
+    and with it multiprocessing) loads only when a campaign runs with two
+    or more workers, so a plain `carousel check` does not pay for it."""
+    package = sorted(p.stem for p in (SRC / "carousel").glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    loaded = set(json.loads(_fresh_python(
+        "-c", "import json, sys; import carousel.cli; print(json.dumps(sorted(sys.modules)))")))
+    assert [m for m in package if f"carousel.{m}" not in loaded] == []
+    assert "concurrent.futures.process" not in loaded
+    assert "multiprocessing" not in loaded
+
+
+def test_parser_is_reused_without_leaking_state(tmp_path, capsys):
+    from carousel.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+    def fresh(*argv):
+        return _fresh_python("-m", "carousel", *argv)
+
+    both = tmp_path / "both.json"
+    assert main(["check", INTEGER_GOLDEN, "--method", "both", "--out", str(both)]) == 0
+    assert both.read_bytes() == fresh("check", INTEGER_GOLDEN, "--method", "both")
+    # default method (brute) and no --out: neither carries over from the call above
+    assert main(["check", INTEGER_GOLDEN]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "integer_seed3_cert.json").read_bytes()
+    assert main(["csl", INTEGER_GOLDEN]) == 0
+    assert capsys.readouterr().out.encode() == fresh("csl", INTEGER_GOLDEN)
+    assert main(["gen", "--kind", "integer", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "integer_seed3.json").read_bytes()
