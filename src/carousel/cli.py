@@ -87,18 +87,14 @@ def _emit(doc, out_path=None):
 def cmd_gen(args) -> int:
     kind = args.kind
     if kind == "fuzz":
-        cfg = FuzzConfig(seed=args.seed, mode=args.mode)
-        scene = generate_fuzz_scene(cfg, args.index)
+        scene = generate_fuzz_scene(FuzzConfig(seed=args.seed), args.index)
     elif kind == "sharpness":
         inst = sharpness_construct(args.n)
         scene = Scene(PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container)
     elif kind == "integer":
         scene = generate_integer_scene(args.seed)
-    elif kind in ("disks-in-triangle", "ellipses-in-pentagon", "homothets-in-triangle"):
+    else:  # a corollary kind; argparse choices reject the rest
         scene = generate_corollary_scene(kind, args.seed)
-    else:
-        print(f"unknown kind {kind!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     _emit(scene_to_doc(scene), args.out)
     return EXIT_OK
 
@@ -379,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--index", type=int, default=0)
     g.add_argument("--n", type=int, default=6, help="sharpness vertex count")
-    g.add_argument("--mode", default="float", choices=["float", "exact"])
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 

@@ -199,18 +199,6 @@ class ConvexPolygon:
     def edge_halfplane(self, i: int) -> HalfPlane:
         return self._edge_halfplanes[i % self.n]
 
-    def signed_area2(self) -> Scalar:
-        v = self.vertices
-        total = 0
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            total += a.x * b.y - a.y * b.x
-        return total
-
-    @property
-    def area(self) -> float:
-        return float(self.signed_area2()) / 2.0
-
     @cached_property
     def perimeter(self) -> float:
         v = self.vertices

@@ -59,7 +59,6 @@ from .tangency import (
     CslLines,
     adjacent_pairs,
     common_supporting_lines,
-    gap_sign_counts,
     mixed_sign_gaps,
     slide_turn,
     support_difference,
@@ -208,28 +207,22 @@ def _events_in_arc(events, arc: NormalArc):
     return out
 
 
-def _search_pair(scene: Scene, pair: AdjacentPair, events, notes,
+def _search_pair(scene: Scene, pair: AdjacentPair, sign: int, in_arc, notes,
                  pigeonhole: bool):
     """Try to extract a witness from one adjacent pair; None when it fails.
 
-    Pigeonhole pairs (left sweep passing two or more vertices) follow
-    the main route, including the exhaustive exit-order split when the
-    right sweep is vertex-free.  Other pairs serve as fallbacks: the
-    witness machinery only needs both turned exits on vertices.
+    sign is that of h0 - h1 across the pair's gap, in_arc the hull's
+    vertex events in the gap by clockwise offset.  Pigeonhole pairs (left
+    sweep passing two or more vertices) follow the main route, including
+    the exhaustive exit-order split when the right sweep is vertex-free.
+    Other pairs serve as fallbacks: the witness machinery only needs both
+    turned exits on vertices.
     """
-    # the body whose support dominates across the gap hosts the other; a
-    # thin opposite-sign excursion (a near-tangential zero pair the line
-    # search could not isolate) is outvoted, since the emitted witness is
-    # re-validated by containment regardless
-    (pos, neg), = gap_sign_counts(scene.a0, scene.a1, [pair], scene.tol.eps)
-    if pos == neg:
-        notes.append(f"pair {pair.index}: mixed-sign gap")
-        return None
-    dominant_idx = 0 if pos > neg else 1
+    # the body whose support dominates across the gap hosts the other
+    dominant_idx = 0 if sign > 0 else 1
     witness_idx = 1 - dominant_idx
     dom = scene.body(dominant_idx)
     arc = NormalArc(pair.line.normal, pair.delta)
-    in_arc = _events_in_arc(events, arc)
     left = [(off, e) for off, e in in_arc if e.side == "L"]
     right = [(off, e) for off, e in in_arc if e.side == "R"]
     if not left:
@@ -392,13 +385,14 @@ def check_carousel_constructive(scene: Scene, csl=None):
     # pigeonhole: prefer pairs whose left sweep passes at least two vertices
     order = []
     for pair in pairs:
-        arc = NormalArc(pair.line.normal, pair.delta)
-        lefts = {e.vertex for off, e in _events_in_arc(events, arc) if e.side == "L"}
-        order.append((len(lefts) < 2, pair.index, pair))
+        in_arc = _events_in_arc(events, NormalArc(pair.line.normal, pair.delta))
+        lefts = {e.vertex for off, e in in_arc if e.side == "L"}
+        order.append((len(lefts) < 2, pair.index, pair, in_arc))
     order.sort(key=lambda t: (t[0], t[1]))
 
-    for fallback, _, pair in order:
-        got = _search_pair(scene, pair, events, notes, pigeonhole=not fallback)
+    for fallback, _, pair, in_arc in order:
+        got = _search_pair(scene, pair, csl.signs[pair.index], in_arc, notes,
+                           pigeonhole=not fallback)
         if got is not None:
             witness_idx, j, proof, trace = got
             fragile = abs(proof.margin) <= FRAGILE_FACTOR * eps

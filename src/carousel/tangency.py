@@ -12,10 +12,11 @@ candidate normals (perpendiculars of cross-body vertex differences plus
 all edge normals), evaluate the difference there and on a probe inside
 every gap between consecutive candidates; between candidates the
 difference is a single sine piece, so a zero probe certifies a whole
-zero arc.  This path is sign-exact in rational mode and reproduces the
-same structure in float mode.  Pairs with a smooth member sample the
-difference on a dense grid, bisect sign changes, and report plateaus as
-arcs of infinitely many common lines.
+zero arc and the other probes give each gap's sign.  This path is
+sign-exact in rational mode and reproduces the same structure in float
+mode.  Pairs with a smooth member sample the difference on a dense grid,
+bisect sign changes, take each gap's sign from its strict samples, and
+report plateaus as arcs of infinitely many common lines.
 """
 
 from __future__ import annotations
@@ -83,9 +84,16 @@ class OrientedSupportLine:
 
 @dataclass(frozen=True)
 class CslLines:
-    """Finitely many common supporting lines, sorted by ascending normal."""
+    """Finitely many common supporting lines, sorted by ascending normal.
+
+    signs[k] is the sign (+1 or -1) of h0 - h1 strictly inside the
+    clockwise gap from lines[k] to its clockwise successor, the gap of
+    adjacent_pairs(...)[k]: the body with the larger support there hosts
+    the other across that gap.
+    """
 
     lines: Tuple[OrientedSupportLine, ...]
+    signs: Tuple[int, ...]
     degenerate: bool = False
     notes: Tuple[str, ...] = ()
 
@@ -266,19 +274,20 @@ def _csl_polygonal(a0, a1, eps: float):
     if any(gap_zero):
         return CslArcs(tuple(_assemble_arcs(dirs, zero_at, gap_zero)))
 
-    lines = []
+    # no probe is zero, so each line's clockwise gap has the strict sign of
+    # the probe just clockwise of it
+    signed = []
     notes = []
-    degenerate = False
     for i in range(len(dirs)):
         if not zero_at[i]:
             continue
         theta = angle_of(dirs[i])
-        lines.append(make_line(a0, a1, theta))
+        signed.append((make_line(a0, a1, theta), gap_sign[i - 1]))
         if gap_sign[i - 1] == gap_sign[i]:
-            degenerate = True
             notes.append(f"tangential zero at normal {theta:.12f}")
-    lines.sort(key=lambda l: l.normal)
-    return CslLines(tuple(lines), degenerate, tuple(notes))
+    signed.sort(key=lambda t: t[0].normal)
+    return CslLines(tuple(l for l, _ in signed), tuple(g for _, g in signed),
+                    bool(notes), tuple(notes))
 
 
 def _assemble_arcs(dirs, zero_at, gap_zero):
@@ -375,7 +384,8 @@ def _csl_sampled(a0, a1, eps: float):
 
     # walk samples with a strict sign; a near-zero block between two strict
     # samples is one event: a crossing when the signs differ, a tangential
-    # touch when they agree
+    # touch when they agree.  Each event keeps the sign of the strict
+    # sample on its clockwise side as the sign of its clockwise gap.
     strict = np.flatnonzero(~near)
     gaps = (np.roll(strict, -1) - strict) % CSL_GRID
     positive = deltas[strict] > 0
@@ -386,25 +396,26 @@ def _csl_sampled(a0, a1, eps: float):
         i, j = int(strict[k]), int(strict[(k + 1) % len(strict)])
         ti = thetas[i]
         tj = ti + int(gaps[k]) * step
+        sign = 1 if positive[k] else -1
         if flips[k]:
-            roots.append(_bisect_root(dfun, ti, tj, float(deltas[i]), float(deltas[j])))
+            r = _bisect_root(dfun, ti, tj, float(deltas[i]), float(deltas[j]))
+            roots.append((wrap_angle(r), sign))
         else:
             x, v = golden_min(lambda t: abs(dfun(t)), ti, tj)
             if abs(v) <= thr:
-                tangential.append(wrap_angle(x))
+                tangential.append((wrap_angle(x), sign))
 
-    roots = sorted(wrap_angle(r) for r in roots)
     merged = []
     merge_tol = max(EPS_ANGLE, 2 * ROOT_WIDTH)
-    for r in roots + sorted(tangential):
-        if any(abs(r - x) <= merge_tol or TWO_PI - abs(r - x) <= merge_tol for x in merged):
+    for r, sign in sorted(roots) + sorted(tangential):
+        if any(abs(r - x) <= merge_tol or TWO_PI - abs(r - x) <= merge_tol
+               for x, _ in merged):
             continue
-        merged.append(r)
+        merged.append((r, sign))
     merged.sort()
-    lines = tuple(make_line(a0, a1, r) for r in merged)
-    degenerate = bool(tangential)
-    notes = tuple(f"tangential zero at normal {t:.12f}" for t in tangential)
-    return CslLines(lines, degenerate, notes)
+    lines = tuple(make_line(a0, a1, r) for r, _ in merged)
+    notes = tuple(f"tangential zero at normal {t:.12f}" for t, _ in tangential)
+    return CslLines(lines, tuple(sign for _, sign in merged), bool(tangential), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +467,20 @@ def adjacent_pairs(csl: CslLines) -> List[AdjacentPair]:
 GAP_PROBES = 512  # uniform interior samples per gap
 
 
-def gap_sign_counts(a0, a1, pairs: List[AdjacentPair],
-                    eps: float) -> List[Tuple[int, int]]:
-    """(positive, negative) sample counts of h0 - h1 inside each pair's gap.
+def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
+    """Indices of adjacency gaps where the support difference changes sign.
 
-    The samples are GAP_PROBES uniform interior angles plus the polygon
-    edge normals strictly inside the gap: narrow excursions of the
-    difference peak at those kinks.  A sample within eps * (1 + the
+    A genuine gap between adjacent common supporting lines has constant
+    sign; a mixed gap means a nearby zero pair escaped the grid search
+    and the scene should be treated as degenerate.  Polygonal pairs have
+    none: their candidate normals include every zero of the difference.
+    Otherwise each gap is sampled at GAP_PROBES uniform interior angles
+    plus the polygon edge normals strictly inside it, where narrow
+    excursions of the difference peak; a sample within eps * (1 + the
     larger origin radius) of zero counts for neither sign.
     """
-    if not pairs:
+    pairs = adjacent_pairs(csl)
+    if not pairs or (is_polygonal(a0) and is_polygonal(a1)):
         return []
     kink_angles = edge_normal_angles(a0) + edge_normal_angles(a1)
     ks = np.arange(1, GAP_PROBES + 1)
@@ -480,17 +495,5 @@ def gap_sign_counts(a0, a1, pairs: List[AdjacentPair],
     deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
     thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     bounds = np.cumsum([len(c) for c in chunks])[:-1]
-    return [(int(np.count_nonzero(d > thr)), int(np.count_nonzero(d < -thr)))
-            for d in np.split(deltas, bounds)]
-
-
-def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
-    """Indices of adjacency gaps where the support difference changes sign.
-
-    A genuine gap between adjacent common supporting lines has constant
-    sign; a mixed gap means a nearby zero pair escaped the search and
-    the scene should be treated as degenerate.
-    """
-    pairs = adjacent_pairs(csl)
-    counts = gap_sign_counts(a0, a1, pairs, eps)
-    return [p.index for p, (pos, neg) in zip(pairs, counts) if pos and neg]
+    return [p.index for p, d in zip(pairs, np.split(deltas, bounds))
+            if np.any(d > thr) and np.any(d < -thr)]

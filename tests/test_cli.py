@@ -350,6 +350,8 @@ def _fresh_python(*args):
     ["frobnicate"],
     ["fuzz", "--seeds", "many"],
     ["render", INTEGER_GOLDEN],  # --out is required
+    # fuzz scenes have float bodies, so an exact-mode fuzz scene cannot exist
+    ["gen", "--kind", "fuzz", "--seed", "3", "--index", "1", "--mode", "exact"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
     with pytest.raises(SystemExit) as exc:

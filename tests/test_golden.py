@@ -89,9 +89,21 @@ def test_ellipse_sector_svg_golden(tmp_path):
     assert "#9e9e9e" in svg.decode() and "#dddddd" in svg.decode()
 
 
+def test_mixed_gap_scene_and_check_golden(tmp_path):
+    # an ellipse/polygon scene whose first gap holds a thin opposite-sign
+    # excursion: the output pins the constructive witness and trace there
+    got = _cli_bytes(tmp_path, ["gen", "--kind", "fuzz", "--seed", "2026",
+                                "--index", "614"], "m.json")
+    assert got == (GOLDEN / "mixed_gap_2026_614.json").read_bytes()
+    check = _cli_bytes(tmp_path, ["check", str(GOLDEN / "mixed_gap_2026_614.json"),
+                                  "--method", "both"], "mc.json")
+    assert check == (GOLDEN / "mixed_gap_2026_614_check.json").read_bytes()
+
+
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
-                 "sector_demo.json", "sharpness4.json", "sharpness6.json"):
+                 "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
+                 "sharpness6.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

@@ -56,23 +56,44 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_every_top_level_definition_has_a_caller():
+def _units(package):
+    """(owner, node, names used) per module statement, with each class split
+    into its header (bases, keywords, decorators) and its members."""
+    for tree in package.values():
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef):
+                yield stmt, stmt, _used_names(stmt)
+                continue
+            header = stmt.bases + stmt.keywords + stmt.decorator_list
+            yield stmt, header, set().union(*map(_used_names, header))
+            for member in stmt.body:
+                yield stmt, member, _used_names(member)
+
+
+def test_every_definition_has_a_caller():
+    # top-level functions and classes, and the methods and properties of
+    # package classes; a definition's own code does not count as its caller
     package = {path: tree for path, tree in _modules(PACKAGE).items()
                if path.name != "__init__.py"}
     outside = set()
     for tree in _modules(PERFBENCH).values():
         outside |= _used_names(tree, strings=True)
-    statements = [stmt for tree in package.values() for stmt in tree.body]
-    uses = [_used_names(stmt) for stmt in statements]
+    units = list(_units(package))
     dead = []
     for path, tree in package.items():
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            name = stmt.name
-            if name in CLAIM_VALIDATORS or name in outside:
-                continue
-            if not any(name in used for other, used in zip(statements, uses)
-                       if other is not stmt):
-                dead.append(f"{path.name}: {name}")
+            defs = [(stmt.name, [node for owner, node, _ in units if owner is stmt])]
+            if isinstance(stmt, ast.ClassDef):
+                defs += [(f"{stmt.name}.{m.name}", [m]) for m in stmt.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+            for label, own in defs:
+                name = label.rpartition(".")[2]
+                if name in CLAIM_VALIDATORS or name in outside:
+                    continue
+                if not any(name in used for _, node, used in units
+                           if not any(node is o for o in own)):
+                    dead.append(f"{path.name}: {label}")
     assert dead == []

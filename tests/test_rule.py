@@ -185,6 +185,26 @@ def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
     assert (trace.witness, trace.case, trace.notes) == (witness, 0, ())
 
 
+def test_gap_signs_need_no_support_sampling(monkeypatch):
+    # the decider takes each gap's sign from the common-line pass, and the
+    # mixed-sign filter has nothing to sample on a polygonal pair
+    def no_sampling(*args):
+        raise AssertionError("gap sampled")
+
+    monkeypatch.setattr(tangency, "support_batch", no_sampling)
+    tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
+    tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
+    for a0, a1 in ((tri0, tri1), (tri0, Disk(Point(1.2, 0.4), 0.6)),
+                   (Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4))):
+        scene = Scene(a0, a1, BIG_SQUARE).validate()
+        csl = scene_csl(scene)
+        assert csl.count == 2
+        cert, trace = check_carousel_constructive(scene, csl)
+        assert cert.verdict == "holds"
+        assert (trace.pair_index, trace.case, trace.dominant) == (0, 0, 1)
+    assert mixed_sign_gaps(tri0, tri1, scene_csl(Scene(tri0, tri1, BIG_SQUARE))) == []
+
+
 def test_cross_validate_degenerate_is_vacuous():
     scene = Scene(Disk(Point(0.0, 0.0), 0.5), Disk(Point(0.0, 0.0), 0.5), BIG_SQUARE)
     report = cross_validate(scene)

@@ -12,10 +12,21 @@ from carousel.bodies import (
     HullBody,
     PointBody,
     PolygonBody,
+    is_polygonal,
     origin_radius,
     support,
+    support_batch,
     support_dir,
 )
+from carousel.constructions import (
+    FuzzConfig,
+    generate_corollary_scene,
+    generate_fuzz_scene,
+    generate_integer_scene,
+    scene_as_float,
+    sharpness_construct,
+)
+from carousel.rule import Scene
 from carousel.kernel import ConvexPolygon, Point, TWO_PI, circ_dist, convex_hull, unit, wrap_angle
 from carousel.tangency import (
     CslArcs,
@@ -268,6 +279,59 @@ def test_gap_sign_profile_alternates_generic():
             for p in adjacent_pairs(res)]
     assert len(mids) == 2 and all(abs(d) > 1e-3 for d in mids)
     assert all((d > 0) != (prev > 0) for prev, d in zip(mids[-1:] + mids[:-1], mids))
+
+
+def _oracle_gap_signs(a0, a1, csl, eps):
+    """Strict majority sign of h0 - h1 over 512 uniform interior samples of
+    each adjacency gap."""
+    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
+    out = []
+    for pair in adjacent_pairs(csl):
+        t = pair.line.normal - pair.delta * np.arange(1, 513) / 513
+        d = support_batch(a0, np.cos(t), np.sin(t)) - support_batch(a1, np.cos(t), np.sin(t))
+        pos, neg = np.count_nonzero(d > thr), np.count_nonzero(d < -thr)
+        assert pos != neg, (pair.index, pos, neg)
+        out.append(1 if pos > neg else -1)
+    return tuple(out)
+
+
+def _seeded_scenes():
+    for seed in (2026, 7411):
+        cfg = FuzzConfig(seed=seed)
+        for k in range(700):  # seed 2026 #614 has a mixed-sign gap
+            yield generate_fuzz_scene(cfg, k)
+    for n in range(4, 33, 2):
+        inst = sharpness_construct(n)
+        yield Scene(PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container)
+    for kind in ("disks-in-triangle", "ellipses-in-pentagon", "homothets-in-triangle"):
+        for seed in range(30):
+            yield generate_corollary_scene(kind, seed)
+
+
+def _pair_kind(scene):
+    return "/".join(sorted("poly" if is_polygonal(b) else "smooth"
+                           for b in (scene.a0, scene.a1)))
+
+
+def test_gap_signs_match_sampled_majority():
+    seen = Counter()
+    for scene in _seeded_scenes():
+        csl = common_supporting_lines(scene.a0, scene.a1, scene.tol.eps)
+        if not isinstance(csl, CslLines):
+            continue
+        assert len(csl.signs) == csl.count
+        assert csl.signs == _oracle_gap_signs(scene.a0, scene.a1, csl, scene.tol.eps)
+        seen[_pair_kind(scene)] += csl.count
+    for k in range(150):
+        exact = generate_integer_scene(f"2026:{k}")
+        twin = scene_as_float(exact)
+        got = [common_supporting_lines(sc.a0, sc.a1, sc.tol.eps) for sc in (exact, twin)]
+        if not isinstance(got[0], CslLines):
+            continue
+        assert isinstance(got[1], CslLines) and got[0].signs == got[1].signs
+        assert got[0].signs == _oracle_gap_signs(exact.a0, exact.a1, got[0], exact.tol.eps)
+        seen["exact"] += got[0].count
+    assert min(seen.values()) > 100 and len(seen) == 4, seen
 
 
 def test_dirs_left_right():
