@@ -91,9 +91,6 @@ class HullBody:
             raise InvalidBody("hull body needs at least one part")
 
 
-ConvexBody = object  # union of the five dataclasses above
-
-
 class SupportEval(NamedTuple):
     value: float
     contact: Point
@@ -349,15 +346,6 @@ def body_contains_point(body, p: Point, eps: float = 0.0) -> bool:
         qu = float(dot(q, u)) / float(body.a)
         qv = float(dot(q, v)) / float(body.b)
         return qu * qu + qv * qv <= 1.0 + eps
-    if isinstance(body, HullBody):
-        if is_polygonal(body):
-            hull = convex_hull(polygonal_vertices(body))
-            return point_in_polygon(p, hull, eps)
-        # p in hull iff no direction separates p from the max support
-        _, ct, st_ = grid_dirs(1024)
-        vals = float(p.x) * ct + float(p.y) * st_ - support_grid(body, 1024)
-        scale = 1.0 + max(origin_radius(body), float(Point(p[0], p[1]).linf()))
-        return bool(np.max(vals) <= eps * scale)
     raise TypeError(type(body))
 
 

@@ -231,6 +231,10 @@ def _fuzz_config(doc, seed: int) -> FuzzConfig:
         raise DocumentError("fuzz config must be an object")
     kwargs = asdict(FuzzConfig(seed=seed))
     for key, value in doc.items():
+        if key == "mode":  # older config files name the one mode fuzz scenes have
+            if value != "float":
+                raise DocumentError(f"bad fuzz config field {key!r}: {value!r}")
+            continue
         if key not in kwargs:
             raise DocumentError(f"unknown fuzz config field {key!r}")
         default = kwargs[key]
@@ -240,8 +244,6 @@ def _fuzz_config(doc, seed: int) -> FuzzConfig:
                 all(x in default for x in value) if key == "kinds" else
                 len(value) == 2 and all(type(x) is int for x in value)
                 and value[0] <= value[1])
-        elif key == "mode":
-            ok = value == "float"  # generate_fuzz_scene builds float bodies only
         else:
             ok = type(value) is type(default)
         if not ok:

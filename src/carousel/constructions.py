@@ -182,9 +182,7 @@ class FuzzConfig:
     kinds: Tuple[str, ...] = ("polygon", "disk", "ellipse")
     poly_points: Tuple[int, int] = (3, 7)
     seed: int = 0
-    count: int = 100
     rejection_limit: int = 500
-    mode: str = "float"
 
 
 def _rng_for(seed, index: Optional[int] = None) -> random.Random:
@@ -306,7 +304,7 @@ def generate_fuzz_scene(cfg: FuzzConfig, index: int = 0) -> Scene:
                                   cfg.rejection_limit)
     a0 = _random_body(rng, rng.choice(cfg.kinds), container, cfg)
     a1 = _random_body(rng, rng.choice(cfg.kinds), container, cfg)
-    return Scene(a0, a1, container, cfg.mode)
+    return Scene(a0, a1, container)
 
 
 def generate_corollary_scene(kind: str, seed) -> Scene:

@@ -45,14 +45,6 @@ class CommonLineCountTooLarge(GeometryError):
     """Constructive checker precondition s < n does not hold."""
 
 
-class CaseTwoReached(GeometryError):
-    """The constructive proof entered its impossible configuration.
-
-    The case is derived as a contradiction, so reaching it signals either a
-    bug or a degenerate scene that slipped through the filters.
-    """
-
-
 class ConstructiveSearchFailed(GeometryError):
     """No adjacent pair yielded a witness; internal inconsistency."""
 

@@ -5,12 +5,15 @@ The rule holds when one body fits in the convex hull of the other body
 together with all container vertices but one.  The brute-force decider
 scans all (body, dropped-vertex) pairs with a containment test.  The
 constructive decider follows the structure of the underlying existence
-proof: it sweeps the boundary exits of the supporting-line family of
-the pair hull between adjacent common supporting lines, pigeonholes a
-sweep holding at least two container vertices, slide-turns the pair
-lines until their exits land on vertices, and reads the witness off the
-vertices between them.  A successful constructive witness always
-re-validates under the brute-force containment test.
+proof: between adjacent common supporting lines one body's support
+dominates, so that body hosts the other.  The container vertices its
+turning supporting lines hit (vertex events) are read off the dominant
+body; pairs whose left sweep passes at least two vertices go first.  The
+pair lines slide-turn until their exits land on vertices and the
+witness is read off the vertices between them; a gap without a right
+event drops a vertex cut off by the pair's first line instead.  Every
+constructive witness re-validates under the brute-force containment
+test before it is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .bodies import (
     polygonal_vertices,
 )
 from .errors import (
-    CaseTwoReached,
     CommonLineCountTooLarge,
     ConstructiveSearchFailed,
     CrossValidationDisagreement,
@@ -46,9 +48,8 @@ from .kernel import (
 )
 from .sectors import (
     NormalArc,
-    _sweep,
-    boundary_exit,
     sector_from_arc,
+    sweep,
     vertex_hit_events,
     vertices_between,
 )
@@ -128,7 +129,7 @@ class ConstructiveTrace:
     to_normal: float = math.nan
     delta: float = math.nan
     dominant: int = -1  # index of the body whose sector hosts the other
-    case: int = -1      # 0 direct sweep path, 1..4 per the exhaustive split
+    case: int = -1      # 0 sweep path, 1 half-plane cut, -2 containment-scan fallback
     alpha: float = math.nan
     beta: float = math.nan
     between: Tuple[int, ...] = ()
@@ -207,51 +208,31 @@ def _events_in_arc(events, arc: NormalArc):
     return out
 
 
-def _search_pair(scene: Scene, pair: AdjacentPair, sign: int, in_arc, notes,
-                 pigeonhole: bool):
+def _search_pair(scene: Scene, pair: AdjacentPair, sign: int, in_arc, notes):
     """Try to extract a witness from one adjacent pair; None when it fails.
 
-    sign is that of h0 - h1 across the pair's gap, in_arc the hull's
-    vertex events in the gap by clockwise offset.  Pigeonhole pairs (left
-    sweep passing two or more vertices) follow the main route, including
-    the exhaustive exit-order split when the right sweep is vertex-free.
-    Other pairs serve as fallbacks: the witness machinery only needs both
-    turned exits on vertices.
+    sign is that of h0 - h1 across the pair's gap, in_arc the dominant
+    body's vertex events in the gap by clockwise offset.  The first left
+    and last right events set the turn angles (case 0); a gap with left
+    events but no right event takes the half-plane cut (case 1).
     """
     # the body whose support dominates across the gap hosts the other
     dominant_idx = 0 if sign > 0 else 1
     witness_idx = 1 - dominant_idx
     dom = scene.body(dominant_idx)
-    arc = NormalArc(pair.line.normal, pair.delta)
-    left = [(off, e) for off, e in in_arc if e.side == "L"]
-    right = [(off, e) for off, e in in_arc if e.side == "R"]
+    left = [off for off, e in in_arc if e.side == "L"]
+    right = [off for off, e in in_arc if e.side == "R"]
     if not left:
         notes.append(f"pair {pair.index}: no left vertex event")
         return None
     if not right:
-        # the hull events may sit a hair outside the arc; recompute about
-        # the dominant body before concluding the right sweep is empty
-        dom_events, _ = vertex_hit_events(dom, scene.container, scene.tol.eps)
-        right = [(off, e) for off, e in _events_in_arc(dom_events, arc)
-                 if e.side == "R"]
-    if right:
-        alpha = left[0][0]
-        off_r = right[-1][0]
-        if alpha > off_r + scene.tol.eps_angle:
-            # try the earliest left event that still precedes a right event
-            feasible = [(ol, orr) for ol, _ in left for orr, _ in right if ol <= orr]
-            if not feasible:
-                notes.append(f"pair {pair.index}: no ordered event pair")
-                return None
-            alpha, off_r = min(feasible)
-        alpha = min(alpha, pair.delta)
-        beta = max(0.0, pair.delta - off_r)
-        case = 0
-    elif pigeonhole:
-        return _no_right_vertex_cases(scene, pair, dom, witness_idx, notes)
-    else:
-        notes.append(f"pair {pair.index}: no right vertex event")
+        return _half_plane_cut(scene, pair, dominant_idx, notes)
+    # offsets are sorted, so no left event precedes any right one
+    if left[0] > right[-1] + scene.tol.eps_angle:
+        notes.append(f"pair {pair.index}: no ordered event pair")
         return None
+    alpha = min(left[0], pair.delta)
+    beta = max(0.0, pair.delta - right[-1])
 
     l1t = slide_turn(dom, pair.line, alpha)
     l2t = slide_turn(dom, pair.cw_next, -beta)
@@ -271,48 +252,29 @@ def _search_pair(scene: Scene, pair: AdjacentPair, sign: int, in_arc, notes,
         notes.append(f"pair {pair.index}: witness ({witness_idx},{j}) failed validation")
         return None
     trace = ConstructiveTrace(pair.index, pair.line.normal, pair.cw_next.normal,
-                              pair.delta, dominant_idx, case, alpha, beta,
+                              pair.delta, dominant_idx, 0, alpha, beta,
                               tuple(between), (witness_idx, j), tuple(notes))
     return witness_idx, j, proof, trace
 
 
-def _no_right_vertex_cases(scene: Scene, pair: AdjacentPair, dom, witness_idx, notes):
-    """Exhaustive split when the right sweep passes no container vertex.
-
-    The boundary order of the four exits separates the half-plane case
-    (a witness excluding an interior cut-off vertex) from the crossing
-    configuration, which is impossible for genuinely adjacent common
-    supporting lines and therefore flagged.
-    """
-    g = scene.container
-    perim = g.as_float().perimeter
-    ex_l1 = boundary_exit(pair.line, g, "L", scene.tol.eps)
-    ex_r1 = boundary_exit(pair.line, g, "R", scene.tol.eps)
-    ex_l2 = boundary_exit(pair.cw_next, g, "L", scene.tol.eps)
-    off_l2 = (ex_l1.param - ex_l2.param) % perim
-    off_r1 = (ex_l1.param - ex_r1.param) % perim
-    if off_l2 <= off_r1:
-        # half-plane cut: both bodies live on the body side of the first
-        # line, whose cut-off chain has interior vertices to drop
-        chain = _cut_vertices(scene, pair)
-        interior = chain[1:-1]
-        notes.append(f"pair {pair.index}: case 1, cut chain {chain}")
-        for j in sorted(interior):
-            for i in (0, 1):
-                proof = contained_in_hull(scene.body(i), scene.body(1 - i),
-                                          scene.vertices_except(j),
-                                          eps=scene.tol.eps * REVALIDATION_SLACK)
-                if proof.contained:
-                    trace = ConstructiveTrace(pair.index, pair.line.normal,
-                                              pair.cw_next.normal, pair.delta,
-                                              1 - witness_idx, 1, math.nan, math.nan,
-                                              (), (i, j), tuple(notes))
-                    return i, j, proof, trace
-        notes.append(f"pair {pair.index}: case 1 found no validating vertex")
-        return None
-    # crossing configuration: provably impossible for adjacent common
-    # supporting lines; note it and let the caller decide after all pairs
-    notes.append(f"pair {pair.index}: case 2 (crossing exit order)")
+def _half_plane_cut(scene: Scene, pair: AdjacentPair, dominant_idx: int, notes):
+    """Case 1, the right sweep passes no container vertex: both bodies lie
+    on the body side of the pair's first line, and the first interior
+    vertex of its cut-off chain whose drop validates is the witness."""
+    chain = _cut_vertices(scene, pair)
+    notes.append(f"pair {pair.index}: case 1, cut chain {chain}")
+    for j in sorted(chain[1:-1]):
+        for i in (0, 1):
+            proof = contained_in_hull(scene.body(i), scene.body(1 - i),
+                                      scene.vertices_except(j),
+                                      eps=scene.tol.eps * REVALIDATION_SLACK)
+            if proof.contained:
+                trace = ConstructiveTrace(pair.index, pair.line.normal,
+                                          pair.cw_next.normal, pair.delta,
+                                          dominant_idx, 1, math.nan, math.nan,
+                                          (), (i, j), tuple(notes))
+                return i, j, proof, trace
+    notes.append(f"pair {pair.index}: case 1 found no validating vertex")
     return None
 
 
@@ -327,9 +289,8 @@ def _cut_vertices(scene: Scene, pair: AdjacentPair):
                  > scene.tol.eps * scale)
     if not beyond:
         return []
-    if len(beyond) == g.n:
-        return sorted(beyond)
-    # the cut vertices form one contiguous run; order it clockwise, i.e.
+    # the line's contact lies in the container, so not every vertex is cut;
+    # the cut ones form one contiguous run; order it clockwise, i.e.
     # starting from the run member whose ccw successor is not cut
     start = next(i for i in beyond if (i + 1) % g.n not in beyond)
     out = [start]
@@ -346,7 +307,10 @@ def check_carousel_constructive(scene: Scene, csl=None):
     Requires fewer common supporting lines than container vertices.  A
     scene with no common supporting line at all short-circuits: one
     support function strictly dominates, so the dominated body sits
-    inside the other and any dropped vertex witnesses the rule.
+    inside the other and any dropped vertex witnesses the rule.  Inside a
+    gap the pair hull's support is the dominant body's, so each gap reads
+    its vertex events off that body; a polygonal pair reads them off its
+    hull polygon, which is one pass for both bodies.
     """
     if csl is None:
         csl = scene_csl(scene)
@@ -375,33 +339,36 @@ def check_carousel_constructive(scene: Scene, csl=None):
         return (Certificate(verdict, witness_idx, j, proof, None, reason,
                             fragile, proof.margin), trace)
 
-    hull = hull_pair_body(scene.a0, scene.a1)
-    events, degenerate_vertices = vertex_hit_events(hull, scene.container, eps)
+    if is_polygonal(scene.a0) and is_polygonal(scene.a1):
+        events, degenerate = vertex_hit_events(hull_pair_body(scene.a0, scene.a1),
+                                               scene.container, eps)
+        events_of = (events, events)
+    else:
+        (ev0, deg0), (ev1, deg1) = (vertex_hit_events(b, scene.container, eps)
+                                    for b in (scene.a0, scene.a1))
+        events_of, degenerate = (ev0, ev1), sorted(set(deg0) | set(deg1))
     notes = []
-    if degenerate_vertices:
-        notes.append(f"container vertices touching the hull: {degenerate_vertices}")
+    if degenerate:
+        notes.append(f"container vertices touching the hull: {degenerate}")
 
-    pairs = adjacent_pairs(csl)
     # pigeonhole: prefer pairs whose left sweep passes at least two vertices
     order = []
-    for pair in pairs:
-        in_arc = _events_in_arc(events, NormalArc(pair.line.normal, pair.delta))
+    for pair in adjacent_pairs(csl):
+        sign = csl.signs[pair.index]
+        in_arc = _events_in_arc(events_of[0 if sign > 0 else 1],
+                                NormalArc(pair.line.normal, pair.delta))
         lefts = {e.vertex for off, e in in_arc if e.side == "L"}
-        order.append((len(lefts) < 2, pair.index, pair, in_arc))
+        order.append((len(lefts) < 2, pair.index, pair, sign, in_arc))
     order.sort(key=lambda t: (t[0], t[1]))
 
-    for fallback, _, pair, in_arc in order:
-        got = _search_pair(scene, pair, csl.signs[pair.index], in_arc, notes,
-                           pigeonhole=not fallback)
+    for *_, pair, sign, in_arc in order:
+        got = _search_pair(scene, pair, sign, in_arc, notes)
         if got is not None:
             witness_idx, j, proof, trace = got
             fragile = abs(proof.margin) <= FRAGILE_FACTOR * eps
             cert = Certificate("holds", witness_idx, j, proof, None, reason,
                                fragile, proof.margin)
             return cert, trace
-    if any("case 2" in note for note in notes):
-        raise CaseTwoReached(f"search exhausted after a crossing exit order; "
-                             f"notes: {notes}")
     # rare configuration (roughly 1e-4 of random scenes): every adjacent
     # pair's right vertex hits precede all its left hits, so no pair admits
     # turn angles within its gap budget.  The theorem still applies; fall
@@ -474,7 +441,7 @@ def sweep_partition_ok(scene: Scene, csl: CslLines) -> bool:
     perim = g.as_float().perimeter
     pairs = adjacent_pairs(csl)
     exits = {}  # each line ends one sweep and starts the next
-    sweeps = {p.index: _sweep(p.line, p.cw_next, hull, g, "L", scene.tol.eps, exits)
+    sweeps = {p.index: sweep(p.line, p.cw_next, hull, g, "L", scene.tol.eps, exits)
               for p in pairs}
     total = sum(s.cw_length for s in sweeps.values())
     if abs(total - perim) > SWEEP_REL_TOL * perim:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .bodies import (
     Disk,
-    HullBody,
     body_contains_point,
     edge_normal_angles,
     is_polygonal,
@@ -33,7 +32,6 @@ from .bodies import (
     polygonal_vertices,
     support,
     support_batch,
-    support_fn,
     supporting_line,
 )
 from .errors import (
@@ -286,21 +284,20 @@ class BoundarySweep:
 
 
 def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
-          container: ConvexPolygon, side: str, eps: float = EPS) -> BoundarySweep:
+          container: ConvexPolygon, side: str, eps: float = EPS,
+          exits: Optional[dict] = None) -> BoundarySweep:
     """Boundary segment from the side exit of l_from clockwise to l_to's.
 
     l_to is the clockwise successor of l_from among the common
     supporting lines; the body is the hull of the scene pair, and both
     lines must support it (that is what pins the exit's clockwise travel
     between the two endpoints).  The same line passed twice means a full
-    turn and the sweep covers everything.
+    turn and the sweep covers everything.  A dict passed as exits keeps
+    each line's side exit, so that the sweeps meeting at a line compute
+    its exit once.
     """
-    return _sweep(l_from, l_to, body, container, side, eps, {})
-
-
-def _sweep(l_from, l_to, body, container, side, eps, exits: dict) -> BoundarySweep:
-    """sweep() keeping each line's side exit in exits, so that the sweeps
-    meeting at a line compute its exit once."""
+    if exits is None:
+        exits = {}
     tol = max(eps, 1e-9) * (1.0 + origin_radius(body)) * 100.0
     for line in (l_from, l_to):
         if abs(support(body, line.normal).value - line.offset) > tol:
@@ -349,9 +346,9 @@ def vertex_hit_events(body, container: ConvexPolygon, eps: float = EPS):
 
     Each vertex strictly outside the body yields one left and one right
     event (the two tangent normals), read off the hull of the body and
-    the vertex for polygonal bodies and solved in closed form for smooth
-    ones.  Vertices inside or on the body are reported separately as
-    degenerate.
+    the vertex for polygonal bodies and solved in closed form for disks
+    and ellipses.  Vertices inside or on the body are reported separately
+    as degenerate.
     """
     events: List[VertexEvent] = []
     degenerate: List[int] = []
@@ -362,7 +359,7 @@ def vertex_hit_events(body, container: ConvexPolygon, eps: float = EPS):
         if is_polygonal(body):
             pair = _tangent_normals_polygonal(body, v)
         else:
-            pair = _tangent_normals_smooth(body, v, eps)
+            pair = _tangent_normals_smooth(body, v)
         if pair is None:
             degenerate.append(i)
             continue
@@ -393,36 +390,16 @@ def _tangent_normals_polygonal(body, g: Point):
             (hull.outward_normal_angle(next_edge), "R"))
 
 
-def _tangent_normals_smooth(body, g: Point, eps: float):
-    """Closed-form normals of the two lines through g tangent to the body.
+def _tangent_normals_smooth(body, g: Point):
+    """Closed-form normals of the two lines through g tangent to a disk or
+    an ellipse; None when g lies inside or on it.
 
     The affine map taking a disk or ellipse to the unit circle takes g to
     q with |q| > 1; there the tangent normals sit at angle(q) - psi (left
     exit; the map keeps orientation) and angle(q) + psi (right exit), with
-    psi = arccos(1/|q|), and map back through the inverse transpose.  A
-    hull keeps, per side, the part tangent that supports the whole hull,
-    within eps.
+    psi = arccos(1/|q|), and map back through the inverse transpose.
     """
     fg = as_float_point(g)
-    if isinstance(body, HullBody):
-        candidates = []
-        for part in body.parts:
-            pair = (_tangent_normals_polygonal(part, g) if is_polygonal(part)
-                    else _tangent_normals_smooth(part, g, eps))
-            if pair is None:
-                return None  # g inside a part, hence inside the hull
-            candidates.extend(pair)
-        tol = eps * (1.0 + max(origin_radius(body), fg.linf()))
-        h = support_fn(body)
-        out = []
-        for side in ("L", "R"):
-            excess, t = min((h(t) - fg.x * math.cos(t)
-                             - fg.y * math.sin(t), t)
-                            for t, s in candidates if s == side)
-            if excess > tol:
-                return None
-            out.append((t, side))
-        return tuple(sorted(out))
     if isinstance(body, Disk):
         u, a, b = Point(1.0, 0.0), float(body.radius), float(body.radius)
     else:

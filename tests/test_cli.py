@@ -211,6 +211,7 @@ def test_cmd_fuzz_small_campaign(tmp_path, capsys, monkeypatch):
     {"seed": "7"},
     {"mode": "weird"},
     {"mode": "exact"},
+    {"count": 5},  # --seeds sets the scene count
 ])
 def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
     path = tmp_path / "config.json"

@@ -6,14 +6,17 @@ build environment; a mismatch means behavior changed and needs review.
 
 import pathlib
 
+import pytest
+
 from carousel.cli import main
-from carousel.constructions import scene_as_float
+from carousel.constructions import FuzzConfig, generate_fuzz_scene, scene_as_float
 from carousel.rule import check_carousel_bruteforce
 from carousel.sceneio import (
     canonical_dumps,
     certificate_to_doc,
     load_document,
     scene_from_doc,
+    scene_to_doc,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -100,10 +103,31 @@ def test_mixed_gap_scene_and_check_golden(tmp_path):
     assert check == (GOLDEN / "mixed_gap_2026_614_check.json").read_bytes()
 
 
+@pytest.mark.parametrize("name, gen_args", [
+    # polygon/ellipse: case 1 cuts the chain [4, 3, 2] and drops vertex 3
+    ("case1_fuzz2026_33", ["--kind", "fuzz", "--seed", "2026", "--index", "33"]),
+    # exact mode: case 1 on pair 1
+    ("case1_integer2", ["--kind", "integer", "--seed", "2"]),
+    # polygon pair whose every pair lacks an ordered event pair: the -2 scan
+    ("fallback_556_2374", None),
+])
+def test_constructive_path_check_goldens(tmp_path, name, gen_args):
+    scene_path = GOLDEN / f"{name}.json"
+    if gen_args is None:
+        scene = generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)), 2374)
+        assert canonical_dumps(scene_to_doc(scene)) + "\n" == scene_path.read_text()
+    else:
+        got = _cli_bytes(tmp_path, ["gen"] + gen_args, "s.json")
+        assert got == scene_path.read_bytes()
+    check = _cli_bytes(tmp_path, ["check", str(scene_path), "--method", "both"], "c.json")
+    assert check == (GOLDEN / f"{name}_check.json").read_bytes()
+
+
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
-                 "sharpness6.json"):
+                 "sharpness6.json", "case1_fuzz2026_33.json", "case1_integer2.json",
+                 "fallback_556_2374.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

@@ -71,8 +71,9 @@ def _units(package):
 
 
 def test_every_definition_has_a_caller():
-    # top-level functions and classes, and the methods and properties of
-    # package classes; a definition's own code does not count as its caller
+    # top-level functions, classes and assigned names, and the methods and
+    # properties of package classes; a definition's own code does not count
+    # as its caller
     package = {path: tree for path, tree in _modules(PACKAGE).items()
                if path.name != "__init__.py"}
     outside = set()
@@ -82,9 +83,14 @@ def test_every_definition_has_a_caller():
     dead = []
     for path, tree in package.items():
         for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defs = [(node.id, [stmt]) for target in targets
+                        for node in ast.walk(target) if isinstance(node, ast.Name)]
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs = [(stmt.name, [node for owner, node, _ in units if owner is stmt])]
+            else:
                 continue
-            defs = [(stmt.name, [node for owner, node, _ in units if owner is stmt])]
             if isinstance(stmt, ast.ClassDef):
                 defs += [(f"{stmt.name}.{m.name}", [m]) for m in stmt.body
                          if isinstance(m, ast.FunctionDef)

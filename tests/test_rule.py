@@ -172,8 +172,8 @@ def test_sweep_toolkit_exhaustion_fallback():
 ])
 def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
     # one gap holds a thin opposite-sign excursion: the degeneracy filter
-    # flags it, while the constructive decider's majority vote still picks
-    # the dominant body there and finds a witness
+    # flags it, while the gap's sign from the common-line pass still picks
+    # the dominant body there and the constructive decider finds a witness
     scene = generate_fuzz_scene(FuzzConfig(seed=seed), index)
     csl = scene_csl(scene)
     assert mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps) == [0]
@@ -183,6 +183,30 @@ def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
     cert, trace = check_carousel_constructive(scene, csl)
     assert cert.verdict == "holds"
     assert (trace.witness, trace.case, trace.notes) == (witness, 0, ())
+
+
+def test_vertex_events_come_from_the_scene_bodies(monkeypatch):
+    # pairs with a smooth body read each gap's events off its dominant body;
+    # no hull of the two bodies is ever handed to vertex_hit_events
+    seen = []
+    real = rule.vertex_hit_events
+
+    def spy(body, *args, **kwargs):
+        seen.append(body)
+        return real(body, *args, **kwargs)
+
+    monkeypatch.setattr(rule, "vertex_hit_events", spy)
+    for a0, a1 in ((Disk(Point(-0.5, 0.1), 0.3), Ellipse(Point(0.6, -0.2), 0.5, 0.3, 0.4)),
+                   (PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0),
+                                               Point(0.0, 1.0)))),
+                    Disk(Point(1.2, 0.4), 0.6))):
+        scene = Scene(a0, a1, BIG_SQUARE).validate()
+        assert 1 <= scene_csl(scene).count < scene.n
+        seen.clear()
+        cert, _ = check_carousel_constructive(scene)
+        assert cert.verdict == "holds"
+        assert seen and all(body is a0 or body is a1 for body in seen)
+        assert not any(isinstance(body, bodies.HullBody) for body in seen)
 
 
 def test_gap_signs_need_no_support_sampling(monkeypatch):
