@@ -352,35 +352,95 @@ def body_contains_point(body, p: Point, eps: float = 0.0) -> bool:
 # ---------------------------------------------------------------------------
 # containment in a hull of a body plus extra points
 
-@dataclass(frozen=True)
 class ContainmentResult:
-    contained: bool
-    margin: float
-    witness_angle: Optional[float] = None
-    escaping_point: Optional[Point] = None
+    """Whether inner lies in the hull, and the signed margin: the smallest
+    support gap h_hull - h_inner, negative when inner escapes.  A refuted
+    test also names the angle of that gap and the inner body's contact
+    point there.
+
+    lo <= margin <= hi; an eager result has lo = hi = margin.  A deferred
+    result knows `contained` from its bounds and computes margin,
+    witness_angle and escaping_point when one of them is first read, so
+    they hold what an eager test gives.  repr and == read them too.
+    """
+
+    def __init__(self, contained: bool, margin: float,
+                 witness_angle: Optional[float] = None,
+                 escaping_point: Optional[Point] = None):
+        self.contained = contained
+        self.lo = self.hi = margin
+        self._refine = None
+        self._values = (margin, witness_angle, escaping_point)
+
+    @classmethod
+    def deferred(cls, contained: bool, lo: float, hi: float, refine):
+        """refine() -> (margin, witness_angle, escaping_point), run on first read."""
+        res = cls(contained, math.nan)
+        res.lo, res.hi, res._refine = lo, hi, refine
+        return res
+
+    def _value(self, k):
+        if self._refine is not None:
+            self._values, self._refine = self._refine(), None
+        return self._values[k]
+
+    margin = property(lambda self: self._value(0))
+    witness_angle = property(lambda self: self._value(1))
+    escaping_point = property(lambda self: self._value(2))
+
+    def near_zero(self, at: float) -> bool:
+        """abs(margin) <= at, answered from lo and hi when they settle it."""
+        if self.lo > at or self.hi < -at:
+            return False
+        return abs(self.margin) <= at
+
+    def _key(self):
+        return (self.contained, self.margin, self.witness_angle, self.escaping_point)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(contained={self.contained!r}, "
+                f"margin={self.margin!r}, witness_angle={self.witness_angle!r}, "
+                f"escaping_point={self.escaping_point!r})")
 
 
 GOLDEN_TOL = 1e-12  # bracket width at which golden_min stops
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_probes(a: float, b: float):
+    """The first two interior points golden_min evaluates on [a, b]."""
+    h = b - a
+    return a + INVPHI2 * h, a + INVPHI * h
 
 
 def golden_min(fn, a: float, b: float):
-    """Golden-section minimizer over [a, b]; returns (argmin, min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    """Golden-section minimizer over [a, b]; returns (argmin, min).
+
+    The smaller of the two interior values never rises, and the returned
+    point lies within GOLDEN_TOL of the last of them.
+    """
     h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
+    c, d = golden_probes(a, b)
     fc, fd = fn(c), fn(d)
     while h > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
-            c = a + invphi2 * h
+            c = a + INVPHI2 * h
             fc = fn(c)
         else:
             a, c, fc = c, d, fd
             h = b - a
-            d = a + invphi * h
+            d = a + INVPHI * h
             fd = fn(d)
     x = (a + b) / 2.0
     return x, fn(x)
@@ -516,50 +576,83 @@ def _smooth_in_polygon(inner, hull, eps):
     return _contained_in_smooth_hull(inner, PolygonBody(hull), (), eps, 2048)
 
 
+BOUND_GUARD = 1e-12  # relative rounding slack of the grid bounds on the margin
+
+
 def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
+    """Decided from the grid when its bounds settle it; the refined margin,
+    witness angle and contact come on first read.
+
+    The gap h_hull - h_inner is Lipschitz in the angle with constant
+    `radius`, the hull's radius about the origin plus the inner body's
+    (Schneider, Convex Bodies), so every angle's gap lies within
+    radius * step of a grid sample's: lo bounds the margin from below.
+    The refinement starts at the smallest sample, and golden_min ends
+    within GOLDEN_TOL of the best of its two first probes there: hi bounds
+    the margin from above.
+    """
     thetas, ct, st_ = grid_dirs(n_theta)
     h_hull = support_grid(outer, n_theta)
+    hull_radius = origin_radius(outer)
     for p in extra:
         fp = as_float_point(p)
         h_hull = np.maximum(h_hull, fp.x * ct + fp.y * st_)
+        hull_radius = max(hull_radius, math.hypot(fp.x, fp.y))
     f = h_hull - support_grid(inner, n_theta)
 
     scale = 1.0 + max(origin_radius(outer), origin_radius(inner),
                       max((p.linf() for p in extra), default=0.0))
-
-    h_hull_fn = support_fn(HullBody((outer, *map(PointBody, extra))))
-    h_inner_fn = support_fn(inner)
-
-    def fval(theta):
-        return h_hull_fn(theta) - h_inner_fn(theta)
-
-    left = np.roll(f, 1)
-    right = np.roll(f, -1)
-    local_min = np.nonzero((f <= left) & (f <= right))[0]
+    floor = -eps * scale
     step = TWO_PI / n_theta
-    # Lipschitz pruning: within one step of a sample the gap moves at most
-    # lip * step, so most local minima cannot beat the running best
-    lip = 2.0 * scale
-    order = sorted(local_min, key=lambda i: float(f[i]))
-    best_val = math.inf
-    best_theta = None
-    for i in order:
-        optimistic = float(f[i]) - lip * step
-        if optimistic >= best_val and optimistic >= -eps * scale:
-            break
-        t0 = thetas[i] - step
-        t1 = thetas[i] + step
-        x, v = golden_min(fval, t0, t1)
-        if v < best_val:
-            best_val, best_theta = v, x
-    if best_theta is None:  # constant f; no structure
-        best_theta = 0.0
-        best_val = fval(0.0)
-    best_theta = float(best_theta) % TWO_PI
-    if best_val >= -eps * scale:
-        return ContainmentResult(True, float(best_val))
-    return ContainmentResult(False, float(best_val), best_theta,
-                             support(inner, best_theta).contact)
+
+    @cache
+    def gap():
+        h_hull_fn = support_fn(HullBody((outer, *map(PointBody, extra))))
+        h_inner_fn = support_fn(inner)
+        return lambda theta: h_hull_fn(theta) - h_inner_fn(theta)
+
+    def refine():
+        fval = gap()
+        left = np.roll(f, 1)
+        right = np.roll(f, -1)
+        local_min = np.nonzero((f <= left) & (f <= right))[0]
+        # Lipschitz pruning: within one step of a sample the gap moves at most
+        # lip * step, so most local minima cannot beat the running best
+        lip = 2.0 * scale
+        order = sorted(local_min, key=lambda i: float(f[i]))
+        best_val = math.inf
+        best_theta = None
+        for i in order:
+            optimistic = float(f[i]) - lip * step
+            if optimistic >= best_val and optimistic >= floor:
+                break
+            t0 = thetas[i] - step
+            t1 = thetas[i] + step
+            x, v = golden_min(fval, t0, t1)
+            if v < best_val:
+                best_val, best_theta = v, x
+        if best_theta is None:  # constant f; no structure
+            best_theta = 0.0
+            best_val = fval(0.0)
+        best_theta = float(best_theta) % TWO_PI
+        if best_val >= floor:
+            return float(best_val), None, None
+        return float(best_val), best_theta, support(inner, best_theta).contact
+
+    radius = hull_radius + origin_radius(inner)
+    guard = BOUND_GUARD * scale
+    first = int(np.argmin(f))
+    lo = float(f[first]) - radius * step - guard
+    if lo >= floor:
+        return ContainmentResult.deferred(
+            True, lo, float(f[first]) + radius * step + guard, refine)
+    fval = gap()
+    fc, fd = map(fval, golden_probes(thetas[first] - step, thetas[first] + step))
+    hi = min(fc, fd) + radius * GOLDEN_TOL + guard
+    if hi < floor:
+        return ContainmentResult.deferred(False, lo, hi, refine)
+    margin, theta, contact = refine()
+    return ContainmentResult(margin >= floor, margin, theta, contact)
 
 
 def body_in_polygon(body, poly: ConvexPolygon, eps: float = 0.0) -> bool:

@@ -224,9 +224,16 @@ def summarize_campaign(records) -> dict:
     }
 
 
+# the smallest usable value of a numeric field, or of a range's lower end: a
+# container has 3 vertices, a polygon draw takes a point (draws whose hull
+# has fewer than 3 vertices are retried), and generation makes a try
+FUZZ_CONFIG_MINIMUM = {"n_range": 3, "poly_points": 1, "rejection_limit": 1}
+
+
 def _fuzz_config(doc, seed: int) -> FuzzConfig:
     """FuzzConfig from a --config document: its fields override the
-    defaults and seed, and each must be shaped like its default."""
+    defaults and seed, each must be shaped like its default, and numbers
+    must reach FUZZ_CONFIG_MINIMUM."""
     if not isinstance(doc, dict):
         raise DocumentError("fuzz config must be an object")
     kwargs = asdict(FuzzConfig(seed=seed))
@@ -246,6 +253,8 @@ def _fuzz_config(doc, seed: int) -> FuzzConfig:
                 and value[0] <= value[1])
         else:
             ok = type(value) is type(default)
+        if ok and key in FUZZ_CONFIG_MINIMUM:
+            ok = (value[0] if isinstance(value, list) else value) >= FUZZ_CONFIG_MINIMUM[key]
         if not ok:
             raise DocumentError(f"bad fuzz config field {key!r}: {value!r}")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value

@@ -119,7 +119,15 @@ class Certificate:
     refutations: Optional[Tuple] = None  # ((i, j), ContainmentResult) pairs
     degenerate_reason: Optional[str] = None
     fragile: bool = False
-    min_margin: float = math.nan
+
+    @property
+    def min_margin(self) -> float:
+        """The proof's margin, else the smallest refutation margin that is a
+        number, else NaN."""
+        if self.proof is not None:
+            return self.proof.margin
+        return min((r.margin for _, r in self.refutations or ()
+                    if not math.isnan(r.margin)), default=math.nan)
 
 
 @dataclass(frozen=True)
@@ -187,13 +195,10 @@ def _containment_scan(scene: Scene, eps: float, reason: Optional[str]) -> Certif
             res = test(j)
             if res.contained:
                 return Certificate("holds", i, j, res, None, reason,
-                                   abs(res.margin) <= fragile_at, res.margin)
+                                   res.near_zero(fragile_at))
             refutations.append(((i, j), res))
-    min_margin = min((r.margin for _, r in refutations if not math.isnan(r.margin)),
-                     default=math.nan)
-    fragile = any(abs(r.margin) <= fragile_at for _, r in refutations)
-    return Certificate("fails", None, None, None, tuple(refutations),
-                       reason, fragile, min_margin)
+    fragile = any(r.near_zero(fragile_at) for _, r in refutations)
+    return Certificate("fails", None, None, None, tuple(refutations), reason, fragile)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +339,9 @@ def check_carousel_constructive(scene: Scene, csl=None):
                                   0, 0.0, 0.0, (), (witness_idx, j),
                                   ("no common supporting line: dominated body "
                                    "lies inside the dominant one",))
-        fragile = abs(proof.margin) <= FRAGILE_FACTOR * eps
         verdict = "holds" if proof.contained else "degenerate"
         return (Certificate(verdict, witness_idx, j, proof, None, reason,
-                            fragile, proof.margin), trace)
+                            proof.near_zero(FRAGILE_FACTOR * eps)), trace)
 
     if is_polygonal(scene.a0) and is_polygonal(scene.a1):
         events, degenerate = vertex_hit_events(hull_pair_body(scene.a0, scene.a1),
@@ -365,9 +369,8 @@ def check_carousel_constructive(scene: Scene, csl=None):
         got = _search_pair(scene, pair, sign, in_arc, notes)
         if got is not None:
             witness_idx, j, proof, trace = got
-            fragile = abs(proof.margin) <= FRAGILE_FACTOR * eps
             cert = Certificate("holds", witness_idx, j, proof, None, reason,
-                               fragile, proof.margin)
+                               proof.near_zero(FRAGILE_FACTOR * eps))
             return cert, trace
     # rare configuration (roughly 1e-4 of random scenes): every adjacent
     # pair's right vertex hits precede all its left hits, so no pair admits

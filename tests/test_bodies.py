@@ -37,6 +37,7 @@ from carousel.constructions import (
     sharpness_construct,
 )
 from carousel.errors import InvalidBody
+from carousel.rule import verify_scene
 from carousel.kernel import (
     EPS,
     ConvexPolygon,
@@ -533,3 +534,72 @@ def test_polygonal_containment_skips_scalar_kernels(monkeypatch):
                                                       Point(0.0, 2.0)]).contained]
     assert got == [True, False, True, False]
     assert calls == Counter()
+
+
+def test_deferred_containment_result_refines_once_on_first_read():
+    calls = []
+
+    def refine():
+        calls.append(1)
+        return -0.25, 1.5, Point(2.0, 3.0)
+
+    res = ContainmentResult.deferred(False, -0.5, -0.1, refine)
+    assert not res.contained and not res.near_zero(0.05) and calls == []
+    assert res.near_zero(0.3) and calls == [1]  # the bounds straddle 0.3
+    assert res.escaping_point == Point(2.0, 3.0) and res.margin == -0.25
+    assert calls == [1]
+    eager = ContainmentResult(False, -0.25, 1.5, Point(2.0, 3.0))
+    assert res == eager and hash(res) == hash(eager) and repr(res) == repr(eager)
+    assert repr(eager) == ("ContainmentResult(contained=False, margin=-0.25, "
+                           "witness_angle=1.5, escaping_point=Point(x=2.0, y=3.0))")
+    assert (eager.lo, eager.hi) == (-0.25, -0.25)
+
+
+def _smooth_tests_of_verify_scene(monkeypatch, seeds, count):
+    """Every smooth-hull containment result verify_scene makes, unread."""
+    made = []
+    real = bodies._contained_in_smooth_hull
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(bodies, "_contained_in_smooth_hull", spy)
+    for seed in seeds:
+        cfg = FuzzConfig(seed=seed)
+        for k in range(count):
+            verify_scene(generate_fuzz_scene(cfg, k))
+    return made
+
+
+def test_deferred_smooth_containment_matches_its_refinement(monkeypatch):
+    # the decision from the grid bounds equals the refined one (a refuted
+    # refinement names a witness angle), the bounds hold the refined margin,
+    # and near_zero answers as abs(margin) <= at
+    seen = Counter()
+    for res in _smooth_tests_of_verify_scene(monkeypatch, (2026, 7411), 300):
+        deferred = res.lo < res.hi  # an eager result has lo = hi = margin
+        near = [res.near_zero(at) for at in (1e-6, 1e-3, 0.1)]
+        assert res.contained == (res.witness_angle is None)
+        assert res.lo <= res.margin <= res.hi
+        assert near == [abs(res.margin) <= at for at in (1e-6, 1e-3, 0.1)]
+        seen[("deferred" if deferred else "eager", res.contained)] += 1
+    assert seen[("deferred", True)] > 300 and seen[("deferred", False)] > 200, seen
+    assert seen[("eager", True)] + seen[("eager", False)] > 0, seen
+
+
+def test_verify_scene_refines_few_smooth_margins(monkeypatch):
+    # verify_scene reads no margin; refinement runs only where the grid
+    # bounds leave the decision or a fragile check open
+    calls = []
+    real = bodies.golden_min
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bodies, "golden_min", counting)
+    cfg = FuzzConfig(seed=2026)
+    for k in range(200):
+        verify_scene(generate_fuzz_scene(cfg, k))
+    assert len(calls) <= 20

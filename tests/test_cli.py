@@ -212,6 +212,9 @@ def test_cmd_fuzz_small_campaign(tmp_path, capsys, monkeypatch):
     {"mode": "weird"},
     {"mode": "exact"},
     {"count": 5},  # --seeds sets the scene count
+    {"n_range": [1, 2]},  # a container needs 3 vertices
+    {"poly_points": [0, 0]},  # a polygon body needs a point
+    {"rejection_limit": 0},
 ])
 def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
     path = tmp_path / "config.json"

@@ -103,6 +103,19 @@ def test_mixed_gap_scene_and_check_golden(tmp_path):
     assert check == (GOLDEN / "mixed_gap_2026_614_check.json").read_bytes()
 
 
+def test_smooth_fails_certificate_golden(tmp_path):
+    # a polygon/ellipse scene with n = 3 and s = 4: every drop is refuted, and
+    # each printed margin is the refinement of a smooth containment test
+    got = _cli_bytes(tmp_path, ["gen", "--kind", "fuzz", "--seed", "2026",
+                                "--index", "151"], "f.json")
+    assert got == (GOLDEN / "fails_smooth_2026_151.json").read_bytes()
+    out = tmp_path / "c.json"
+    assert main(["check", str(GOLDEN / "fails_smooth_2026_151.json"), "--method", "brute",
+                 "--out", str(out)]) == 2
+    assert out.read_bytes() == (GOLDEN / "fails_smooth_2026_151_cert.json").read_bytes()
+    assert len(load_document(str(out))["certificate"]["refutations"]) == 6
+
+
 @pytest.mark.parametrize("name, gen_args", [
     # polygon/ellipse: case 1 cuts the chain [4, 3, 2] and drops vertex 3
     ("case1_fuzz2026_33", ["--kind", "fuzz", "--seed", "2026", "--index", "33"]),
@@ -127,7 +140,7 @@ def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
                  "sharpness6.json", "case1_fuzz2026_33.json", "case1_integer2.json",
-                 "fallback_556_2374.json"):
+                 "fallback_556_2374.json", "fails_smooth_2026_151.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

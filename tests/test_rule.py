@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from carousel import bodies, sectors, tangency
-from carousel.bodies import Disk, Ellipse, PointBody, PolygonBody, contained_in_hull
+from carousel.bodies import (
+    ContainmentResult,
+    Disk,
+    Ellipse,
+    PointBody,
+    PolygonBody,
+    contained_in_hull,
+)
 from carousel.errors import (
     CommonLineCountTooLarge,
     ModeMixError,
@@ -235,6 +242,21 @@ def test_cross_validate_degenerate_is_vacuous():
     assert report.constructive.verdict == "degenerate"
     assert report.agree  # vacuous
     assert report.revalidation is None
+
+
+def test_certificate_min_margin_reads_its_results():
+    holds = check_carousel_bruteforce(
+        Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE))
+    assert holds.verdict == "holds" and holds.min_margin == holds.proof.margin
+    fails = check_carousel_bruteforce(generate_fuzz_scene(FuzzConfig(seed=2026), 151))
+    assert fails.verdict == "fails" and len(fails.refutations) == 6
+    assert fails.min_margin == min(r.margin for _, r in fails.refutations)
+    some = Certificate("fails", refutations=(((0, 0), ContainmentResult(False, math.nan)),
+                                             ((0, 1), ContainmentResult(False, -0.5))))
+    assert some.min_margin == -0.5
+    scene = Scene(Disk(Point(0.0, 0.0), 0.5), Disk(Point(0.0, 0.0), 0.5), BIG_SQUARE)
+    degenerate, _ = check_carousel_constructive(scene)
+    assert degenerate.verdict == "degenerate" and math.isnan(degenerate.min_margin)
 
 
 def test_certificates_deterministic():
