@@ -604,6 +604,7 @@ def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
                       max((p.linf() for p in extra), default=0.0))
     floor = -eps * scale
     step = TWO_PI / n_theta
+    radius = hull_radius + origin_radius(inner)
 
     @cache
     def gap():
@@ -617,13 +618,12 @@ def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
         right = np.roll(f, -1)
         local_min = np.nonzero((f <= left) & (f <= right))[0]
         # Lipschitz pruning: within one step of a sample the gap moves at most
-        # lip * step, so most local minima cannot beat the running best
-        lip = 2.0 * scale
+        # radius * step, so most local minima cannot beat the running best
         order = sorted(local_min, key=lambda i: float(f[i]))
         best_val = math.inf
         best_theta = None
         for i in order:
-            optimistic = float(f[i]) - lip * step
+            optimistic = float(f[i]) - radius * step
             if optimistic >= best_val and optimistic >= floor:
                 break
             t0 = thetas[i] - step
@@ -639,7 +639,6 @@ def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
             return float(best_val), None, None
         return float(best_val), best_theta, support(inner, best_theta).contact
 
-    radius = hull_radius + origin_radius(inner)
     guard = BOUND_GUARD * scale
     first = int(np.argmin(f))
     lo = float(f[first]) - radius * step - guard

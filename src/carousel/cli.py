@@ -258,6 +258,10 @@ def _fuzz_config(doc, seed: int) -> FuzzConfig:
         if not ok:
             raise DocumentError(f"bad fuzz config field {key!r}: {value!r}")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
+    if "polygon" in kwargs["kinds"] and kwargs["poly_points"][1] < 3:
+        # a polygon draw needs a hull of 3 or more of its at most poly_points[1] points
+        raise DocumentError(f"bad fuzz config field 'poly_points': "
+                            f"{list(kwargs['poly_points'])} cannot give a polygon")
     return FuzzConfig(**kwargs)
 
 
@@ -304,7 +308,7 @@ def compute_annotations(scene: Scene, layers) -> dict:
         sweeps = []
         for pair in pairs:
             try:
-                sw = sweep(pair.line, pair.cw_next, hull, scene.container, "L",
+                sw = sweep(pair.line, pair.cw_next, hull, scene.container,
                            scene.tol.eps)
             except GeometryError:
                 continue

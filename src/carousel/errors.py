@@ -33,10 +33,6 @@ class LineSupportMismatch(GeometryError):
     """A line handed to the sweep does not support the sweep body."""
 
 
-class EndpointNotVertex(GeometryError):
-    """A boundary exit point expected at a container vertex is not one."""
-
-
 class SceneInvariantError(GeometryError):
     """Scene violates its invariants (body outside container, n < 3, ...)."""
 

@@ -15,21 +15,21 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 DEFAULT_LAYERS = ("sectors", "container", "sweeps", "bodies", "csl", "markers")
+MARGIN = 0.08  # padding around the container, as a share of its span
+CONTAINER_STROKE = "#000000"
+BODY_FILLS = ("#d6272880", "#1f77b480")
+BODY_STROKES = ("#d62728", "#1f77b4")
+CSL_STROKE = "#555555"
+SECTOR_FILLS = ("#9e9e9e", "#dddddd")  # dark base, light expansion
+SWEEP_STROKES = ("#1f77b4", "#d62728")
+MARKER_FILL = "#111111"
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     width: int = 720
     height: int = 720
-    margin: float = 0.08
     layers: Tuple[str, ...] = DEFAULT_LAYERS
-    container_stroke: str = "#000000"
-    body_fills: Tuple[str, str] = ("#d6272880", "#1f77b480")
-    body_strokes: Tuple[str, str] = ("#d62728", "#1f77b4")
-    csl_stroke: str = "#555555"
-    sector_fills: Tuple[str, str] = ("#9e9e9e", "#dddddd")  # dark base, light expansion
-    sweep_strokes: Tuple[str, str] = ("#1f77b4", "#d62728")
-    marker_fill: str = "#111111"
 
 
 def _fmt(v: float) -> str:
@@ -91,7 +91,7 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
     ys = [p[1] for p in g_pts]
     minx, maxx, miny, maxy = min(xs), max(xs), min(ys), max(ys)
     span = max(maxx - minx, maxy - miny, 1e-9)
-    pad = spec.margin * span
+    pad = MARGIN * span
     minx, maxx = minx - pad, maxx + pad
     miny, maxy = miny - pad, maxy + pad
     sx = min(spec.width / (maxx - minx), spec.height / (maxy - miny))
@@ -112,17 +112,17 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
     for layer in spec.layers:
         if layer == "sectors":
             for sec in reversed(ann.get("sectors", [])):
-                tone = spec.sector_fills[0] if sec.get("tone") == "dark" \
-                    else spec.sector_fills[1]
+                tone = SECTOR_FILLS[0] if sec.get("tone") == "dark" \
+                    else SECTOR_FILLS[1]
                 if sec.get("clipped"):
                     parts.append(f'<polygon points="{_points_attr(_floatpts(sec["clipped"]))}" '
                                  f'fill="{tone}" stroke="none"/>')
         elif layer == "container":
             parts.append(f'<polygon points="{_points_attr(g_pts)}" fill="none" '
-                         f'stroke="{spec.container_stroke}" stroke-width="{_fmt(lw)}"/>')
+                         f'stroke="{CONTAINER_STROKE}" stroke-width="{_fmt(lw)}"/>')
         elif layer == "sweeps":
             for k, sw in enumerate(ann.get("sweeps", [])):
-                color = spec.sweep_strokes[k % 2]
+                color = SWEEP_STROKES[k % 2]
                 pts = _floatpts(sw["points"])
                 parts.append(f'<polyline points="{_points_attr(pts)}" fill="none" '
                              f'stroke="{color}" stroke-width="{_fmt(2.5 * lw)}" '
@@ -133,17 +133,17 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
                 if len(outline) == 1:
                     x, y = outline[0]
                     parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                                 f'r="{_fmt(2.0 * lw)}" fill="{spec.body_strokes[k]}"/>')
+                                 f'r="{_fmt(2.0 * lw)}" fill="{BODY_STROKES[k]}"/>')
                 elif len(outline) == 2:
                     (x1, y1), (x2, y2) = outline
                     parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                                  f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                                 f'stroke="{spec.body_strokes[k]}" '
+                                 f'stroke="{BODY_STROKES[k]}" '
                                  f'stroke-width="{_fmt(1.5 * lw)}"/>')
                 else:
                     parts.append(f'<polygon points="{_points_attr(outline)}" '
-                                 f'fill="{spec.body_fills[k]}" '
-                                 f'stroke="{spec.body_strokes[k]}" '
+                                 f'fill="{BODY_FILLS[k]}" '
+                                 f'stroke="{BODY_STROKES[k]}" '
                                  f'stroke-width="{_fmt(lw)}"/>')
         elif layer == "csl":
             csl = ann.get("csl")
@@ -157,7 +157,7 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
                     parts.append(
                         f'<line x1="{_fmt(ox - reach * dx)}" y1="{_fmt(oy - reach * dy)}" '
                         f'x2="{_fmt(ox + reach * dx)}" y2="{_fmt(oy + reach * dy)}" '
-                        f'stroke="{spec.csl_stroke}" stroke-width="{_fmt(lw)}" '
+                        f'stroke="{CSL_STROKE}" stroke-width="{_fmt(lw)}" '
                         f'stroke-dasharray="{_fmt(4 * lw)} {_fmt(4 * lw)}"/>')
         elif layer == "markers":
             for sw in ann.get("sweeps", []):
@@ -165,7 +165,7 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
                     pts = _floatpts(sw[key])
                     for x, y in (pts[0], pts[-1]):
                         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                                     f'r="{_fmt(1.8 * lw)}" fill="{spec.marker_fill}"/>')
+                                     f'r="{_fmt(1.8 * lw)}" fill="{MARKER_FILL}"/>')
             csl = ann.get("csl")
             if csl and csl.get("kind") == "Finite":
                 for line in csl["lines"]:
@@ -173,7 +173,7 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
                         if key in line:
                             x, y = line[key]
                             parts.append(f'<circle cx="{_fmt(float(x))}" cy="{_fmt(float(y))}" '
-                                         f'r="{_fmt(1.4 * lw)}" fill="{spec.marker_fill}"/>')
+                                         f'r="{_fmt(1.4 * lw)}" fill="{MARKER_FILL}"/>')
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

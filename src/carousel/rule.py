@@ -9,11 +9,11 @@ proof: between adjacent common supporting lines one body's support
 dominates, so that body hosts the other.  The container vertices its
 turning supporting lines hit (vertex events) are read off the dominant
 body; pairs whose left sweep passes at least two vertices go first.  The
-pair lines slide-turn until their exits land on vertices and the
-witness is read off the vertices between them; a gap without a right
-event drops a vertex cut off by the pair's first line instead.  Every
-constructive witness re-validates under the brute-force containment
-test before it is returned.
+pair lines turn until their exits land on the vertices of the gap's first
+left and last right events, and the witness is read off the vertices
+between them; a gap without a right event drops a vertex cut off by the
+pair's first line instead.  Every constructive witness re-validates
+under the brute-force containment test before it is returned.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     CommonLineCountTooLarge,
     ConstructiveSearchFailed,
     CrossValidationDisagreement,
-    EndpointNotVertex,
     ModeMixError,
     SceneInvariantError,
 )
@@ -45,6 +44,8 @@ from .kernel import (
     EPS_ANGLE,
     ConvexPolygon,
     convex_hull,
+    cw_gap,
+    wrap_angle,
 )
 from .sectors import (
     NormalArc,
@@ -61,7 +62,6 @@ from .tangency import (
     adjacent_pairs,
     common_supporting_lines,
     mixed_sign_gaps,
-    slide_turn,
     support_difference,
 )
 
@@ -218,34 +218,33 @@ def _search_pair(scene: Scene, pair: AdjacentPair, sign: int, in_arc, notes):
 
     sign is that of h0 - h1 across the pair's gap, in_arc the dominant
     body's vertex events in the gap by clockwise offset.  The first left
-    and last right events set the turn angles (case 0); a gap with left
-    events but no right event takes the half-plane cut (case 1).
+    and last right events set the turn angles and end the vertex chain
+    (case 0); a gap with left events but no right event takes the
+    half-plane cut (case 1).
     """
     # the body whose support dominates across the gap hosts the other
     dominant_idx = 0 if sign > 0 else 1
     witness_idx = 1 - dominant_idx
     dom = scene.body(dominant_idx)
-    left = [off for off, e in in_arc if e.side == "L"]
-    right = [off for off, e in in_arc if e.side == "R"]
+    left = [(off, e) for off, e in in_arc if e.side == "L"]
+    right = [(off, e) for off, e in in_arc if e.side == "R"]
     if not left:
         notes.append(f"pair {pair.index}: no left vertex event")
         return None
     if not right:
         return _half_plane_cut(scene, pair, dominant_idx, notes)
+    (first_off, first), (last_off, last) = left[0], right[-1]
     # offsets are sorted, so no left event precedes any right one
-    if left[0] > right[-1] + scene.tol.eps_angle:
+    if first_off > last_off + scene.tol.eps_angle:
         notes.append(f"pair {pair.index}: no ordered event pair")
         return None
-    alpha = min(left[0], pair.delta)
-    beta = max(0.0, pair.delta - right[-1])
-
-    l1t = slide_turn(dom, pair.line, alpha)
-    l2t = slide_turn(dom, pair.cw_next, -beta)
-    try:
-        between = vertices_between(l1t, l2t, dom, scene.container, scene.tol.eps)
-    except EndpointNotVertex as exc:
-        notes.append(f"pair {pair.index}: {exc}")
-        return None
+    alpha = min(first_off, pair.delta)
+    beta = max(0.0, pair.delta - last_off)
+    start = wrap_angle(pair.line.normal - alpha)
+    end = wrap_angle(pair.cw_next.normal + beta)
+    between = vertices_between(first.vertex, last.vertex,
+                               NormalArc(start, cw_gap(start, end)), dom,
+                               scene.container, scene.tol.eps)
     if len(between) >= scene.n:
         notes.append(f"pair {pair.index}: expansion spans every vertex")
         return None
@@ -393,7 +392,6 @@ class CrossReport:
     brute: Certificate
     constructive: Certificate
     trace: ConstructiveTrace
-    revalidation: Optional[ContainmentResult]
     agree: bool
 
 
@@ -413,13 +411,12 @@ def cross_validate(scene: Scene, csl=None,
     cons, trace = check_carousel_constructive(scene, csl)
     if cons.verdict == "degenerate" or brute.verdict == "degenerate":
         # degenerate tangency structure: agreement is vacuous
-        return CrossReport(brute, cons, trace, None, True)
-    reval = cons.proof
-    if not reval.contained:
+        return CrossReport(brute, cons, trace, True)
+    if not cons.proof.contained:
         raise CrossValidationDisagreement(
             f"constructive witness {(cons.i, cons.j)} fails containment "
-            f"(margin {reval.margin})")
-    return CrossReport(brute, cons, trace, reval, brute.verdict == "holds")
+            f"(margin {cons.proof.margin})")
+    return CrossReport(brute, cons, trace, brute.verdict == "holds")
 
 
 # ---------------------------------------------------------------------------
@@ -438,33 +435,20 @@ def dichotomy_holds(scene: Scene, csl: CslLines) -> bool:
 
 
 def sweep_partition_ok(scene: Scene, csl: CslLines) -> bool:
-    """Left sweeps chain end-to-start, tile the boundary, cover all vertices."""
+    """Left sweeps tile the boundary and cover all vertices."""
     hull = hull_pair_body(scene.a0, scene.a1)
     g = scene.container
     perim = g.as_float().perimeter
-    pairs = adjacent_pairs(csl)
-    exits = {}  # each line ends one sweep and starts the next
-    sweeps = {p.index: sweep(p.line, p.cw_next, hull, g, "L", scene.tol.eps, exits)
-              for p in pairs}
-    total = sum(s.cw_length for s in sweeps.values())
+    exits = {}  # each line's exit ends one sweep and starts the next
+    sweeps = [sweep(p.line, p.cw_next, hull, g, scene.tol.eps, exits)
+              for p in adjacent_pairs(csl)]
+    total = sum(s.cw_length for s in sweeps)
     if abs(total - perim) > SWEEP_REL_TOL * perim:
         return False
     covered = set()
-    for s in sweeps.values():
+    for s in sweeps:
         covered.update(s.covered)
-    if covered != set(range(g.n)):
-        return False
-    by_line = {id(p.line): p.index for p in pairs}
-    for pair in pairs:
-        nxt = by_line.get(id(pair.cw_next))
-        if nxt is None:
-            return False
-        a = sweeps[pair.index].end.location
-        b = sweeps[nxt].start.location
-        if math.hypot(float(a.x) - float(b.x), float(a.y) - float(b.y)) \
-                > SWEEP_REL_TOL * (1.0 + perim):
-            return False
-    return True
+    return covered == set(range(g.n))
 
 
 def verify_scene(scene: Scene) -> dict:

@@ -8,11 +8,11 @@ plus the edge normals strictly inside the arc (interior normals at a
 shared vertex are positive combinations of the flanking ones and drop
 out).  Smooth bodies are sampled across the arc.
 
-Boundary exits: a supporting line of a body inside a container polygon
-leaves the container at one point per travel direction.  Following the
-left exit while the line turns clockwise between two adjacent common
-supporting lines traces a clockwise boundary segment, the sweep; the
-sweeps of consecutive pairs tile the container boundary.
+Boundary exits: a supporting line of a body inside a container polygon,
+travelled with the body on its left, leaves the container at one point.
+Following that exit while the line turns clockwise between two adjacent
+common supporting lines traces a clockwise boundary segment, the sweep;
+the sweeps of consecutive pairs tile the container boundary.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .bodies import (
 )
 from .errors import (
     ContactOutsideContainer,
-    EndpointNotVertex,
     ExpansionTooWide,
     LineSupportMismatch,
 )
@@ -53,6 +52,7 @@ from .kernel import (
     cw_gap,
     intersect_halfplanes,
     point_in_polygon,
+    unit,
     wrap_angle,
 )
 from .tangency import OrientedSupportLine
@@ -104,15 +104,14 @@ class SectorRegion:
     """
 
     arc: NormalArc
-    body: object
     nx: np.ndarray
     ny: np.ndarray
     c: np.ndarray
 
     @classmethod
-    def from_planes(cls, arc: NormalArc, body, planes) -> "SectorRegion":
+    def from_planes(cls, arc: NormalArc, planes) -> "SectorRegion":
         cols = np.array([(float(hp.nx), float(hp.ny), float(hp.c)) for hp in planes])
-        return cls(arc, body, cols[:, 0], cols[:, 1], cols[:, 2])
+        return cls(arc, cols[:, 0], cols[:, 1], cols[:, 2])
 
     @property
     def planes(self) -> Tuple[HalfPlane, ...]:
@@ -146,7 +145,7 @@ SECTOR_SAMPLES = 512  # half-plane count across a smooth arc
 def sector_from_arc(body, arc: NormalArc) -> SectorRegion:
     """Sector of the body over an explicit normal arc."""
     if arc.width <= 0.0:
-        return SectorRegion.from_planes(arc, body, (supporting_line(body, arc.start),))
+        return SectorRegion.from_planes(arc, (supporting_line(body, arc.start),))
     if is_polygonal(body):
         planes = [supporting_line(body, arc.start)]
         if arc.width < TWO_PI:
@@ -167,12 +166,12 @@ def sector_from_arc(body, arc: NormalArc) -> SectorRegion:
             for k in range(1, extra + 1):
                 ang = wrap_angle(arc.start - arc.width * k / (extra + 1))
                 planes.append(supporting_line(body, ang))
-        return SectorRegion.from_planes(arc, body, planes)
+        return SectorRegion.from_planes(arc, planes)
     # smooth: endpoints plus SECTOR_SAMPLES angles spread across the arc;
     # values come from one vectorized support sweep (contacts are not needed)
     ts = arc.angles(SECTOR_SAMPLES + 2)
     ct, st = np.cos(ts), np.sin(ts)
-    return SectorRegion(arc, body, ct, st, support_batch(body, ct, st))
+    return SectorRegion(arc, ct, st, support_batch(body, ct, st))
 
 
 def expand_sector(l1: OrientedSupportLine, l2: OrientedSupportLine, body,
@@ -200,17 +199,10 @@ def expand_sector(l1: OrientedSupportLine, l2: OrientedSupportLine, body,
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A point of the container boundary with its carrier edge.
-
-    edge follows the vertex tie rule: when the point sits on a vertex,
-    the left exit carries the edge lying clockwise from the vertex and
-    the right exit the counterclockwise one.  param is the ccw
-    arc-length coordinate along the container boundary.
-    """
+    """A point of the container boundary; param is its ccw arc-length
+    coordinate along the boundary."""
 
     location: Point
-    edge: int
-    vertex: Optional[int]
     param: float
 
 
@@ -224,19 +216,19 @@ def _vertex_near(container: ConvexPolygon, p: Point, tol: float) -> Optional[int
 
 
 def boundary_exit(line: OrientedSupportLine, container: ConvexPolygon,
-                  side: str, eps: float = EPS) -> BoundaryPoint:
-    """Farthest point of the container along the line, per travel side.
+                  eps: float = EPS) -> BoundaryPoint:
+    """Farthest point of the container along the line, travelled with the
+    supported body on the left (the normal turned +90 degrees).
 
-    Side 'L' walks dir_left from the line's contact point, side 'R'
-    walks dir_right; the contact must lie inside the container.  The
-    result does not depend on which point of the supported body the
-    line carries as its contact.
+    The line's contact must lie inside the container.  The result does
+    not depend on which point of the supported body the line carries as
+    its contact; an exit within tolerance of a vertex snaps to it.
     """
     contact = as_float_point(line.contact0)
     fc = container.as_float()
     if not point_in_polygon(contact, fc, max(eps, 1e-9) * 10.0):
         raise ContactOutsideContainer(f"contact {contact} outside container")
-    d = line.dir_left_vec() if side == "L" else line.dir_right_vec()
+    d = unit(wrap_angle(line.normal + math.pi / 2))
 
     t_best = math.inf
     edge_best = None
@@ -259,14 +251,8 @@ def boundary_exit(line: OrientedSupportLine, container: ConvexPolygon,
     tol = max(eps, 1e-9) * (1.0 + fc.max_coord())
     vidx = _vertex_near(fc, loc, tol)
     if vidx is not None:
-        loc = as_float_point(fc.vertices[vidx])
-        # tie rule: clockwise edge for the left exit, ccw edge for the right
-        edge = (vidx - 1) % fc.n if side == "L" else vidx
-        param = fc.cumulative_lengths()[vidx]
-    else:
-        edge = edge_best
-        param = fc.boundary_param(loc, edge)
-    return BoundaryPoint(loc, edge, vidx, param)
+        return BoundaryPoint(as_float_point(fc.vertices[vidx]), fc.cumulative_lengths()[vidx])
+    return BoundaryPoint(loc, fc.boundary_param(loc, edge_best))
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +260,26 @@ def boundary_exit(line: OrientedSupportLine, container: ConvexPolygon,
 
 @dataclass(frozen=True)
 class BoundarySweep:
-    """Clockwise boundary segment traced by an exit point between two lines."""
+    """Clockwise boundary segment traced by the exit point between two lines."""
 
     start: BoundaryPoint
     end: BoundaryPoint
     covered: Tuple[int, ...]
-    side: str
     cw_length: float
 
 
 def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
-          container: ConvexPolygon, side: str, eps: float = EPS,
+          container: ConvexPolygon, eps: float = EPS,
           exits: Optional[dict] = None) -> BoundarySweep:
-    """Boundary segment from the side exit of l_from clockwise to l_to's.
+    """Boundary segment from the exit of l_from clockwise to l_to's.
 
     l_to is the clockwise successor of l_from among the common
     supporting lines; the body is the hull of the scene pair, and both
     lines must support it (that is what pins the exit's clockwise travel
     between the two endpoints).  The same line passed twice means a full
     turn and the sweep covers everything.  A dict passed as exits keeps
-    each line's side exit, so that the sweeps meeting at a line compute
-    its exit once.
+    each line's exit, so that the sweeps meeting at a line compute its
+    exit once.
     """
     if exits is None:
         exits = {}
@@ -306,7 +291,7 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
     full = l_from is l_to or cw_gap(l_from.normal, l_to.normal) <= EPS_ANGLE
     for line in (l_from,) if full else (l_from, l_to):
         if line not in exits:
-            exits[line] = boundary_exit(line, container, side, eps)
+            exits[line] = boundary_exit(line, container, eps)
     start = exits[l_from]
     end = start if full else exits[l_to]
     fc = container.as_float()
@@ -314,7 +299,7 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
     cum = fc.cumulative_lengths()
     if full:
         order = sorted(range(fc.n), key=lambda i: (start.param - cum[i]) % perim)
-        return BoundarySweep(start, end, tuple(order), side, perim)
+        return BoundarySweep(start, end, tuple(order), perim)
     length = (start.param - end.param) % perim
     tol = max(eps, 1e-9) * (1.0 + perim)
     hits = []
@@ -325,7 +310,7 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
         elif off <= length + tol:
             hits.append((min(off, length), i))
     hits.sort()
-    return BoundarySweep(start, end, tuple(i for _, i in hits), side, length)
+    return BoundarySweep(start, end, tuple(i for _, i in hits), length)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +369,7 @@ def _tangent_normals_polygonal(body, g: Point):
                 (wrap_angle(ang + math.pi / 2), "R"))
     prev_edge = (gi - 1) % hull.n
     next_edge = gi
-    # hull edge arriving at g: travel direction is dir_left, so g is the
+    # hull edge arriving at g: travelled with the body on the left, so g is the
     # left exit; edge leaving g makes it the right exit
     return ((hull.outward_normal_angle(prev_edge), "L"),
             (hull.outward_normal_angle(next_edge), "R"))
@@ -422,23 +407,14 @@ def _tangent_normals_smooth(body, g: Point):
 # ---------------------------------------------------------------------------
 # vertices between two turned lines
 
-def vertices_between(l1_turned: OrientedSupportLine, l2_turned: OrientedSupportLine,
-                     body, container: ConvexPolygon, eps: float = EPS):
-    """Container vertices delimited by the exits of the two turned lines.
+def vertices_between(a: int, b: int, arc: NormalArc, body,
+                     container: ConvexPolygon, eps: float = EPS):
+    """Container vertices between the exits of the arc's turned lines.
 
-    The left exit of the first line and the right exit of the second
-    must both land on container vertices.  Of the two closed clockwise
-    vertex chains joining them, the one whose boundary segment lies in
-    the sector of the turned pair is returned (clockwise order).
+    The start line's left exit lands on vertex a, the end line's right
+    exit on vertex b.  Of the two closed clockwise vertex chains joining
+    them, the one inside the body's sector over the arc is returned.
     """
-    omega_l = boundary_exit(l1_turned, container, "L", eps)
-    omega_r = boundary_exit(l2_turned, container, "R", eps)
-    if omega_l.vertex is None:
-        raise EndpointNotVertex(f"left exit {omega_l.location} is not a vertex")
-    if omega_r.vertex is None:
-        raise EndpointNotVertex(f"right exit {omega_r.location} is not a vertex")
-    a = omega_l.vertex
-    b = omega_r.vertex
     n = container.n
 
     def cw_chain(src: int, dst: int):
@@ -450,8 +426,6 @@ def vertices_between(l1_turned: OrientedSupportLine, l2_turned: OrientedSupportL
         return out
 
     chain = cw_chain(b, a)
-    gap = cw_gap(l1_turned.normal, l2_turned.normal)
-    arc = NormalArc(l1_turned.normal, gap if gap > 0 else 0.0)
     sec = sector_from_arc(body, arc)
     fc = container.as_float()
     if all(sec.contains_point(as_float_point(fc.vertices[i]), 10.0 * eps) for i in chain):

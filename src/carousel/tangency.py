@@ -49,37 +49,18 @@ from .kernel import (
     angle_of,
     cw_gap,
     point_array,
-    unit,
     wrap_angle,
 )
 
 
 @dataclass(frozen=True)
 class OrientedSupportLine:
-    """A common (or single-body) supporting line with outward normal angle.
-
-    dir_left is the travel direction with the supported bodies on the
-    left; it is the normal rotated +90 degrees counterclockwise.
-    """
+    """A common (or single-body) supporting line with outward normal angle."""
 
     normal: float
     offset: float
     contact0: Point
     contact1: Optional[Point] = None
-
-    @property
-    def dir_left(self) -> float:
-        return wrap_angle(self.normal + math.pi / 2)
-
-    @property
-    def dir_right(self) -> float:
-        return wrap_angle(self.normal - math.pi / 2)
-
-    def dir_left_vec(self) -> Point:
-        return unit(self.dir_left)
-
-    def dir_right_vec(self) -> Point:
-        return unit(self.dir_right)
 
 
 @dataclass(frozen=True)

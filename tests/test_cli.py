@@ -215,6 +215,7 @@ def test_cmd_fuzz_small_campaign(tmp_path, capsys, monkeypatch):
     {"n_range": [1, 2]},  # a container needs 3 vertices
     {"poly_points": [0, 0]},  # a polygon body needs a point
     {"rejection_limit": 0},
+    {"n_range": [3, 3], "poly_points": [1, 2], "rejection_limit": 5},  # a polygon needs 3
 ])
 def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -226,8 +227,9 @@ def test_cmd_fuzz_malformed_config(tmp_path, capsys, config):
 def test_cmd_fuzz_config_overrides_defaults(tmp_path, monkeypatch):
     monkeypatch.setenv("CAROUSEL_WORKERS", "1")
     path = tmp_path / "config.json"
+    # poly_points matters only to polygon bodies
     path.write_text(json.dumps({"n_range": [4, 4], "kinds": ["disk"], "seed": 3,
-                                "mode": "float"}),
+                                "mode": "float", "poly_points": [1, 2]}),
                     encoding="utf-8")
     out = tmp_path / "report.json"
     assert main(["fuzz", "--seeds", "3", "--config", str(path), "--out", str(out)]) == 0

@@ -80,7 +80,7 @@ def test_constructive_matches_bruteforce_on_disk_scene():
     assert report.brute.verdict == "holds"
     assert report.constructive.verdict == "holds"
     assert report.agree
-    assert report.revalidation.contained
+    assert report.constructive.proof.contained
     assert report.trace.witness == (report.constructive.i, report.constructive.j)
 
 
@@ -150,7 +150,7 @@ def test_half_plane_case_witness():
     chain_note = next(n for n in trace.notes if "cut chain" in n)
     assert cert.j not in (1, 4)
     report = cross_validate(scene)
-    assert report.agree and report.revalidation.contained
+    assert report.agree and report.constructive.proof.contained
     rec = verify_scene(scene)
     assert rec["error"] is None and rec["constructive_case"] == 1
 
@@ -170,7 +170,7 @@ def test_sweep_toolkit_exhaustion_fallback():
     assert cert.min_margin == cert.proof.margin
     assert cert.fragile == (abs(cert.proof.margin) <= rule.FRAGILE_FACTOR * scene.tol.eps)
     report = cross_validate(scene)
-    assert report.agree and report.revalidation.contained
+    assert report.agree and report.constructive.proof.contained
 
 
 @pytest.mark.parametrize("seed, index, brute_ij, witness", [
@@ -241,7 +241,7 @@ def test_cross_validate_degenerate_is_vacuous():
     report = cross_validate(scene)
     assert report.constructive.verdict == "degenerate"
     assert report.agree  # vacuous
-    assert report.revalidation is None
+    assert report.constructive.proof is None
 
 
 def test_certificate_min_margin_reads_its_results():
@@ -357,7 +357,7 @@ def test_cross_validate_revalidation_is_fresh_containment():
         fresh = contained_in_hull(scene.body(i), scene.body(1 - i),
                                   scene.vertices_except(j),
                                   eps=scene.tol.eps * REVALIDATION_SLACK)
-        assert report.revalidation == fresh
+        assert report.constructive.proof == fresh
         checked += 1
     assert checked >= 50
 
@@ -417,6 +417,22 @@ def test_sweep_partition_computes_each_line_exit_once(monkeypatch):
         assert len(calls) == csl.count
         checked += 1
     assert checked >= 5
+
+
+def test_constructive_decider_turns_no_line_and_computes_no_exit(monkeypatch):
+    # the turned lines' exits land on the vertices of the events that set
+    # the turn angles, so the chain ends are read off those events
+    calls = []
+    for module, name in ((sectors, "boundary_exit"), (tangency, "slide_turn"),
+                         (rule, "slide_turn")):
+        if hasattr(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name,
+                                **kwargs: calls.append(_name) or _real(*args, **kwargs))
+    scene = Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE)
+    cert, trace = check_carousel_constructive(scene)
+    assert cert.verdict == "holds" and trace.case == 0 and trace.between == (2, 1)
+    assert calls == []
 
 
 def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from carousel.bodies import (
 )
 from carousel import kernel
 from carousel.constructions import FuzzConfig, generate_fuzz_scene
-from carousel.errors import EndpointNotVertex, ExpansionTooWide
+from carousel.errors import ExpansionTooWide
 from carousel.kernel import (
     ConvexPolygon,
     Point,
@@ -173,34 +174,28 @@ def test_expand_sector_too_wide():
 
 
 def test_boundary_exit_axis_aligned():
+    # travelled with the disk on its left, the top tangent runs west to the
+    # left edge and the east tangent north to the top edge
     disk = Disk(Point(0.0, 0.0), 1.0)
-    top = make_support_line(disk, math.pi / 2)
-    left = boundary_exit(top, BIG_SQUARE, "L")
-    right = boundary_exit(top, BIG_SQUARE, "R")
-    assert math.isclose(left.location.x, -2.0, abs_tol=1e-9)
-    assert math.isclose(left.location.y, 1.0, abs_tol=1e-9)
-    assert math.isclose(right.location.x, 2.0, abs_tol=1e-9)
-    assert left.edge == 3 and right.edge == 1  # left edge, right edge
+    top = boundary_exit(make_support_line(disk, math.pi / 2), BIG_SQUARE)
+    assert math.isclose(top.location.x, -2.0, abs_tol=1e-9)
+    assert math.isclose(top.location.y, 1.0, abs_tol=1e-9)
+    assert math.isclose(top.param, 13.0, abs_tol=1e-9)  # 1 along edge 3
 
-    east = make_support_line(disk, 0.0)
-    el = boundary_exit(east, BIG_SQUARE, "L")
-    er = boundary_exit(east, BIG_SQUARE, "R")
-    assert math.isclose(el.location.y, 2.0, abs_tol=1e-9)  # top edge
-    assert math.isclose(er.location.y, -2.0, abs_tol=1e-9)  # bottom edge
+    east = boundary_exit(make_support_line(disk, 0.0), BIG_SQUARE)
+    assert math.isclose(east.location.x, 1.0, abs_tol=1e-9)
+    assert math.isclose(east.location.y, 2.0, abs_tol=1e-9)
+    assert math.isclose(east.param, 9.0, abs_tol=1e-9)  # 1 along edge 2
 
 
-def test_boundary_exit_edge_collinear_tie_rule():
-    # a segment body lying on the bottom edge of the square
+def test_boundary_exit_along_an_edge_lands_on_its_end_vertex():
+    # a segment body lying on the bottom edge of the square: the edge it
+    # runs along does not bind, and the exit snaps to vertex 1 at (2, -2)
     seg = PolygonBody(ConvexPolygon((Point(-0.5, -2.0), Point(0.5, -2.0))))
     line = make_support_line(seg, 3 * math.pi / 2)  # the bottom edge line
-    left = boundary_exit(line, BIG_SQUARE, "L")
-    # dir_left points east along the bottom edge; exit at vertex (2, -2)
-    assert left.vertex == 1
-    # clockwise edge from vertex 1 of the ccw square is edge 0
-    assert left.edge == 0
-    right = boundary_exit(line, BIG_SQUARE, "R")
-    assert right.vertex == 0
-    assert right.edge == 0  # ccw edge from vertex 0
+    ex = boundary_exit(line, BIG_SQUARE)
+    assert ex.location == Point(2.0, -2.0)
+    assert ex.param == BIG_SQUARE.as_float().cumulative_lengths()[1]
 
 
 def test_sweep_two_disks_in_square_matches_alpha_sampling():
@@ -213,7 +208,7 @@ def test_sweep_two_disks_in_square_matches_alpha_sampling():
     assert all(math.isclose(p.delta, math.pi, abs_tol=1e-9) for p in pairs)
     top = max(csl.lines, key=lambda l: math.sin(l.normal))
     pair = next(p for p in pairs if p.line is top)
-    sw = sweep(pair.line, pair.cw_next, hull, BIG_SQUARE, "L")
+    sw = sweep(pair.line, pair.cw_next, hull, BIG_SQUARE)
     # brute-force alpha sampling oracle: walk the exit point and collect the
     # vertices crossed at carrier-edge changes; clockwise travel on a ccw
     # polygon leaves edge e across vertex e into edge e-1
@@ -221,25 +216,26 @@ def test_sweep_two_disks_in_square_matches_alpha_sampling():
     offsets = []
     fc = BIG_SQUARE.as_float()
     perim = fc.perimeter
+    cum = fc.cumulative_lengths()
     prev_edge = None
     start_param = None
     steps = 10 ** 4
     for k in range(steps + 1):
         alpha = pair.delta * k / steps
         turned = slide_turn(hull, pair.line, alpha)
-        ex = boundary_exit(turned, BIG_SQUARE, "L")
+        ex = boundary_exit(turned, BIG_SQUARE)
         if start_param is None:
             start_param = ex.param
         offsets.append((start_param - ex.param) % perim if k else 0.0)
-        if prev_edge is not None and ex.vertex is None and ex.edge != prev_edge:
+        # an exit near a vertex snaps onto it, param and all
+        at_vertex = ex.param in cum
+        edge = bisect.bisect_right(cum, ex.param) - 1
+        if prev_edge is not None and not at_vertex and edge != prev_edge:
             e = prev_edge
-            while e != ex.edge:
+            while e != edge:
                 crossed.append(e)
                 e = (e - 1) % fc.n
-        if ex.vertex is not None:
-            prev_edge = None
-        else:
-            prev_edge = ex.edge
+        prev_edge = None if at_vertex else edge
     # monotone clockwise travel of the exit point
     assert all(b >= a - 1e-7 for a, b in zip(offsets, offsets[1:]))
     assert tuple(crossed) == sw.covered
@@ -255,7 +251,7 @@ def test_sweep_single_line_covers_everything():
     assert csl.count == 1
     pair = adjacent_pairs(csl)[0]
     hull = HullBody((a0, a1))
-    sw = sweep(pair.line, pair.cw_next, hull, BIG_SQUARE, "L")
+    sw = sweep(pair.line, pair.cw_next, hull, BIG_SQUARE)
     assert sorted(sw.covered) == [0, 1, 2, 3]
     assert math.isclose(sw.cw_length, BIG_SQUARE.perimeter)
 
@@ -266,7 +262,7 @@ def test_consecutive_sweeps_share_endpoint():
     hull = HullBody((a0, a1))
     csl = common_supporting_lines(a0, a1)
     pairs = adjacent_pairs(csl)
-    sweeps = {p.index: sweep(p.line, p.cw_next, hull, BIG_SQUARE, "L") for p in pairs}
+    sweeps = {p.index: sweep(p.line, p.cw_next, hull, BIG_SQUARE) for p in pairs}
     # line i's sweep ends where the sweep of its clockwise successor starts
     for p in pairs:
         nxt_idx = next(q.index for q in pairs if q.line is p.cw_next)
@@ -296,59 +292,49 @@ def test_vertex_events_polygonal_and_smooth_agree():
         assert abs(float(v.x) * n.x + float(v.y) * n.y - h) <= 1e-7
 
 
-def test_vertices_between_simple():
-    # two small disks near the bottom of the square; expand the top pair
-    # until both ends land on vertices
+def _top_pair_witness_chain():
+    """Two small disks near the bottom of the square: the top pair's gap
+    turns clockwise through east, where a1 dominates, so its vertex events
+    are a1's.  Returns the pair hull, the pair, the turn angles set by the
+    first left and last right events, those events, and the chain."""
     a0 = Disk(Point(-0.4, -1.0), 0.3)
     a1 = Disk(Point(0.4, -1.0), 0.3)
     csl = common_supporting_lines(a0, a1)
-    pairs = adjacent_pairs(csl)
     top = max(csl.lines, key=lambda l: math.sin(l.normal))
-    pair = next(p for p in pairs if p.line is top)
-    # the top pair's gap turns clockwise through east, where a1 dominates;
-    # there the hull's support, hence its events, are a1's
-    hull = HullBody((a0, a1))
+    pair = next(p for p in adjacent_pairs(csl) if p.line is top)
+    arc = NormalArc(pair.line.normal, pair.delta)
     ev, _ = vertex_hit_events(a1, BIG_SQUARE)
-    in_arc = [e for e in ev
-              if NormalArc(pair.line.normal, pair.delta).contains(e.normal)]
-    alphas_l = sorted((pair.line.normal - e.normal) % TWO_PI
-                      for e in in_arc if e.side == "L")
-    alphas_r = sorted((pair.line.normal - e.normal) % TWO_PI
-                      for e in in_arc if e.side == "R")
-    alpha = alphas_l[0]
-    beta = pair.delta - alphas_r[-1]
-    l1t = slide_turn(hull, pair.line, alpha)
-    l2t = slide_turn(hull, pair.cw_next, -beta)
-    vb = vertices_between(l1t, l2t, hull, BIG_SQUARE)
-    assert 2 <= len(vb) < BIG_SQUARE.n + 1
-    # full-container degenerate call: zero-width arc sector still works
-    assert isinstance(vb, list)
+    in_arc = [e for e in ev if arc.contains(e.normal)]
+    first = min((e for e in in_arc if e.side == "L"),
+                key=lambda e: arc.clockwise_offset(e.normal))
+    last = max((e for e in in_arc if e.side == "R"),
+               key=lambda e: arc.clockwise_offset(e.normal))
+    alpha = arc.clockwise_offset(first.normal)
+    beta = pair.delta - arc.clockwise_offset(last.normal)
+    start = wrap_angle(pair.line.normal - alpha)
+    end = wrap_angle(pair.cw_next.normal + beta)
+    hull = HullBody((a0, a1))
+    chain = vertices_between(first.vertex, last.vertex,
+                             NormalArc(start, cw_gap(start, end)), hull, BIG_SQUARE)
+    return hull, pair, alpha, beta, first, chain
+
+
+def test_vertices_between_simple():
+    hull, pair, alpha, _, first, chain = _top_pair_witness_chain()
+    # the first line, turned to the first left event, exits at its vertex
+    ex = boundary_exit(slide_turn(hull, pair.line, alpha), BIG_SQUARE)
+    assert ex.location == BIG_SQUARE.vertices[first.vertex]
+    # the chain runs clockwise from the last right event's vertex to the
+    # first left event's: the square's left edge
+    assert (first.vertex, chain) == (3, [0, 3])
 
 
 def test_clipped_sector_inside_hull_of_body_and_between_vertices():
     # sample the expanded sector region; every point must lie in the hull of
     # the dominant body with the vertices between the turned lines
     from carousel.bodies import contained_in_hull, PointBody
-    from carousel.sectors import sector_from_arc
 
-    a0 = Disk(Point(-0.4, -1.0), 0.3)
-    a1 = Disk(Point(0.4, -1.0), 0.3)
-    hull = HullBody((a0, a1))
-    csl = common_supporting_lines(a0, a1)
-    pairs = adjacent_pairs(csl)
-    top = max(csl.lines, key=lambda l: math.sin(l.normal))
-    pair = next(p for p in pairs if p.line is top)
-    ev, _ = vertex_hit_events(a1, BIG_SQUARE)  # a1 dominates across the gap
-    arc = NormalArc(pair.line.normal, pair.delta)
-    offs_l = sorted((pair.line.normal - e.normal) % TWO_PI
-                    for e in ev if e.side == "L" and arc.contains(e.normal))
-    offs_r = sorted((pair.line.normal - e.normal) % TWO_PI
-                    for e in ev if e.side == "R" and arc.contains(e.normal))
-    alpha = offs_l[0]
-    beta = pair.delta - offs_r[-1]
-    l1t = slide_turn(hull, pair.line, alpha)
-    l2t = slide_turn(hull, pair.cw_next, -beta)
-    vb = vertices_between(l1t, l2t, hull, BIG_SQUARE)
+    hull, pair, alpha, beta, _, vb = _top_pair_witness_chain()
     grown = expand_sector(pair.line, pair.cw_next, hull, alpha, beta)
     clipped = grown.clipped(BIG_SQUARE, 1e-9)
     assert clipped is not None
@@ -383,14 +369,6 @@ def test_point_sector_over_arc_wider_than_halfturn():
     assert sec.contains_point(Point(0.25, -0.5), 1e-9)
     for probe in (Point(0.3, -0.5), Point(0.25, -0.45), Point(0.2, -0.55)):
         assert not sec.contains_point(probe, 1e-9)
-
-
-def test_vertices_between_requires_vertices():
-    disk = Disk(Point(0.0, 0.0), 1.0)
-    l1 = make_support_line(disk, math.pi / 2)
-    l2 = make_support_line(disk, 0.0)
-    with pytest.raises(EndpointNotVertex):
-        vertices_between(l1, l2, disk, BIG_SQUARE)
 
 
 def _grid_bisection_tangents(body, g, grid=1024):

@@ -334,12 +334,6 @@ def test_gap_signs_match_sampled_majority():
     assert min(seen.values()) > 100 and len(seen) == 4, seen
 
 
-def test_dirs_left_right():
-    line = make_support_line(Disk(Point(0.0, 0.0), 1.0), math.pi / 2)
-    assert circ_dist(line.dir_left, math.pi) < 1e-12
-    assert circ_dist(line.dir_right, 0.0) < 1e-12
-
-
 def _oracle_zero_pattern(a0, a1, dirs, rational, eps):
     """The scalar loops of _csl_polygonal that the array pass replaced."""
     scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
