@@ -45,9 +45,7 @@ from .sectors import (
     NormalArc,
     SectorRegion,
     boundary_exit,
-    expand_sector,
     sweep,
-    vertices_between,
 )
 from .tangency import (
     CslArcs,
@@ -56,7 +54,6 @@ from .tangency import (
     OrientedSupportLine,
     adjacent_pairs,
     common_supporting_lines,
-    slide_turn,
     support_difference,
 )
 from .constructions import (

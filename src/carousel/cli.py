@@ -47,7 +47,7 @@ from .sceneio import (
     scene_to_doc,
     trace_to_doc,
 )
-from .sectors import sweep
+from .sectors import NormalArc, sector_from_arc, sweep
 from .tangency import CslLines, adjacent_pairs
 
 EXIT_OK = 0
@@ -183,14 +183,13 @@ def run_campaign(cfg: FuzzConfig, count: int, workers: int | None = None):
 
 
 def summarize_campaign(records) -> dict:
-    counts = {"holds": 0, "fails": 0, "degenerate": 0, "fragile": 0,
-              "errors": 0, "toolkit_fallbacks": 0}
+    counts = {"holds": 0, "fails": 0, "degenerate": 0, "fragile": 0, "errors": 0}
     violations = []
     disagreements = []
     # tight scenes (as many common supporting lines as container vertices)
-    # are the interesting boundary: even counts can defeat the rule, odd
-    # counts are conjectured not to
-    tight = {"odd_holds": 0, "odd_fails": 0, "even_holds": 0, "even_fails": 0}
+    # are the boundary where the rule can fail; s is even on every
+    # non-degenerate scene, so they all have even n
+    tight = {"holds": 0, "fails": 0}
     for rec in records:
         if rec["error"]:
             counts["errors"] += 1
@@ -199,12 +198,9 @@ def summarize_campaign(records) -> dict:
             counts["degenerate"] += 1
         if rec["fragile"]:
             counts["fragile"] += 1
-        if rec["constructive_case"] == -2:
-            counts["toolkit_fallbacks"] += 1
         if rec["s"] is not None and rec["s"] == rec["n"] and not rec["degenerate"] \
-                and rec["verdict"] in ("holds", "fails"):
-            parity = "odd" if rec["s"] % 2 else "even"
-            tight[f"{parity}_{rec['verdict']}"] += 1
+                and rec["verdict"] in tight:
+            tight[rec["verdict"]] += 1
         if rec["verdict"] == "holds":
             counts["holds"] += 1
         elif rec["verdict"] == "fails":
@@ -322,24 +318,15 @@ def compute_annotations(scene: Scene, layers) -> dict:
         except GeometryError:
             return ann
         if cert.verdict == "holds" and trace.case == 0 and trace.pair_index >= 0:
-            from .sectors import expand_sector, sector_from_arc, NormalArc
-
             pair = next(p for p in pairs if p.index == trace.pair_index)
-            dom = scene.body(trace.dominant)
-            base = sector_from_arc(dom, NormalArc(pair.line.normal, pair.delta))
-            grown = expand_sector(pair.line, pair.cw_next, dom,
-                                  trace.alpha, trace.beta)
-            sectors = []
-            for tone, sec in (("dark", base), ("light", grown)):
-                clipped = sec.clipped(scene.container, scene.tol.eps)
-                if clipped is not None:
-                    sectors.append({
-                        "tone": tone,
-                        "arc": {"start": sec.arc.start, "width": sec.arc.width},
-                        "clipped": [[float(p.x), float(p.y)]
-                                    for p in clipped.vertices],
-                    })
-            ann["sectors"] = sectors
+            sec = sector_from_arc(scene.body(trace.dominant),
+                                  NormalArc(pair.line.normal, pair.delta))
+            clipped = sec.clipped(scene.container, scene.tol.eps)
+            ann["sectors"] = [] if clipped is None else [{
+                "tone": "dark",
+                "arc": {"start": sec.arc.start, "width": sec.arc.width},
+                "clipped": [[float(p.x), float(p.y)] for p in clipped.vertices],
+            }]
     return ann
 
 

@@ -3,9 +3,9 @@
 Output is plain SVG 1.1 text assembled from fixed-format numbers, so
 identical inputs give byte-identical files.  The drawing sits in a
 single flipped group, keeping stored coordinates in the mathematical
-y-up convention.  Layer order: sectors (light expansion under dark
-base), container, sweeps, bodies, common supporting lines (dashed),
-markers.
+y-up convention.  Layer order: sectors (a light sector stored in the
+document under the dark base), container, sweeps, bodies, common
+supporting lines (dashed), markers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ CONTAINER_STROKE = "#000000"
 BODY_FILLS = ("#d6272880", "#1f77b480")
 BODY_STROKES = ("#d62728", "#1f77b4")
 CSL_STROKE = "#555555"
-SECTOR_FILLS = ("#9e9e9e", "#dddddd")  # dark base, light expansion
+SECTOR_FILLS = ("#9e9e9e", "#dddddd")  # dark base, light (documents may store one)
 SWEEP_STROKES = ("#1f77b4", "#d62728")
 MARKER_FILL = "#111111"
 

@@ -6,13 +6,12 @@ together with all container vertices but one.  The brute-force decider
 scans all (body, dropped-vertex) pairs with a containment test.  The
 constructive decider follows the structure of the underlying existence
 proof: between adjacent common supporting lines one body's support
-dominates, so that body hosts the other.  The container vertices its
-turning supporting lines hit (vertex events) are read off the dominant
-body; pairs whose left sweep passes at least two vertices go first.  The
-pair lines turn until their exits land on the vertices of the gap's first
-left and last right events, and the witness is read off the vertices
-between them; a gap without a right event drops a vertex cut off by the
-pair's first line instead.  Every constructive witness re-validates
+dominates, and the exits of that body's turning supporting lines sweep
+the container boundary.  With fewer common lines than container vertices
+some gap sweeps two vertices that lie outside the dominant body (the gap
+is crowded), and dropping the last of them leaves the other body inside
+the hull; when no gap is crowded, a container vertex lies in a body, and
+dropping it witnesses the rule.  Every constructive witness re-validates
 under the brute-force containment test before it is returned.
 """
 
@@ -26,6 +25,7 @@ from .bodies import (
     ContainmentResult,
     HullBody,
     PolygonBody,
+    body_contains_point,
     body_in_polygon,
     contained_in_hull,
     drop_one_containment,
@@ -44,18 +44,14 @@ from .kernel import (
     EPS_ANGLE,
     ConvexPolygon,
     convex_hull,
-    cw_gap,
-    wrap_angle,
 )
 from .sectors import (
     NormalArc,
     sector_from_arc,
     sweep,
     vertex_hit_events,
-    vertices_between,
 )
 from .tangency import (
-    AdjacentPair,
     CslArcs,
     CslIdentical,
     CslLines,
@@ -136,11 +132,8 @@ class ConstructiveTrace:
     from_normal: float = math.nan
     to_normal: float = math.nan
     delta: float = math.nan
-    dominant: int = -1  # index of the body whose sector hosts the other
-    case: int = -1      # 0 sweep path, 1 half-plane cut, -2 containment-scan fallback
-    alpha: float = math.nan
-    beta: float = math.nan
-    between: Tuple[int, ...] = ()
+    dominant: int = -1  # the body whose hull with the kept vertices hosts the other
+    case: int = -1      # 0 crowded gap (or s = 0), 1 container vertex in a body
     witness: Optional[Tuple[int, int]] = None
     notes: Tuple[str, ...] = ()
 
@@ -173,20 +166,17 @@ def _degeneracy_of(csl) -> Optional[str]:
 
 
 def check_carousel_bruteforce(scene: Scene, csl=None) -> Certificate:
-    """Scan (i, j) in ascending order; first containment wins.
+    """Containment tests over (i, j) in ascending order; the first
+    containment wins.
 
     Degenerate tangency structure does not stop the scan, it only
     annotates the certificate.
     """
     if csl is None:
         csl = scene_csl(scene)
-    return _containment_scan(scene, scene.tol.eps, _degeneracy_of(csl))
-
-
-def _containment_scan(scene: Scene, eps: float, reason: Optional[str]) -> Certificate:
-    """Containment tests at eps over (i, j) in ascending order; the first
-    containment wins.  fragile is judged against scene.tol.eps."""
-    fragile_at = FRAGILE_FACTOR * scene.tol.eps
+    reason = _degeneracy_of(csl)
+    eps = scene.tol.eps
+    fragile_at = FRAGILE_FACTOR * eps
     refutations = []
     for i in (0, 1):
         test = drop_one_containment(scene.body(i), scene.body(1 - i),
@@ -205,116 +195,86 @@ def _containment_scan(scene: Scene, eps: float, reason: Optional[str]) -> Certif
 # constructive decider
 
 def _events_in_arc(events, arc: NormalArc):
-    out = []
-    for e in events:
-        if arc.contains(e.normal, EVENT_ARC_TOL):
-            out.append((arc.clockwise_offset(e.normal), e))
-    out.sort(key=lambda t: t[0])
-    return out
+    """The events whose normals lie on the arc, clockwise from its start."""
+    inside = [e for e in events if arc.contains(e.normal, EVENT_ARC_TOL)]
+    return sorted(inside, key=lambda e: arc.clockwise_offset(e.normal))
 
 
-def _search_pair(scene: Scene, pair: AdjacentPair, sign: int, in_arc, notes):
-    """Try to extract a witness from one adjacent pair; None when it fails.
+def _crowded_gap(scene: Scene, csl: CslLines):
+    """(pair, dominant index, dropped vertex) of the first crowded gap in CSL
+    order, else None.
 
-    sign is that of h0 - h1 across the pair's gap, in_arc the dominant
-    body's vertex events in the gap by clockwise offset.  The first left
-    and last right events set the turn angles and end the vertex chain
-    (case 0); a gap with left events but no right event takes the
-    half-plane cut (case 1).
+    A gap is crowded when its dominant body has left vertex events at two
+    or more container vertices in it; the dropped vertex is that of the
+    last left event clockwise.  A polygonal pair reads every gap's events
+    off its hull polygon in one pass; a pair with a smooth body computes a
+    body's events when a gap first needs them.
     """
-    # the body whose support dominates across the gap hosts the other
-    dominant_idx = 0 if sign > 0 else 1
-    witness_idx = 1 - dominant_idx
-    dom = scene.body(dominant_idx)
-    left = [(off, e) for off, e in in_arc if e.side == "L"]
-    right = [(off, e) for off, e in in_arc if e.side == "R"]
-    if not left:
-        notes.append(f"pair {pair.index}: no left vertex event")
-        return None
-    if not right:
-        return _half_plane_cut(scene, pair, dominant_idx, notes)
-    (first_off, first), (last_off, last) = left[0], right[-1]
-    # offsets are sorted, so no left event precedes any right one
-    if first_off > last_off + scene.tol.eps_angle:
-        notes.append(f"pair {pair.index}: no ordered event pair")
-        return None
-    alpha = min(first_off, pair.delta)
-    beta = max(0.0, pair.delta - last_off)
-    start = wrap_angle(pair.line.normal - alpha)
-    end = wrap_angle(pair.cw_next.normal + beta)
-    between = vertices_between(first.vertex, last.vertex,
-                               NormalArc(start, cw_gap(start, end)), dom,
-                               scene.container, scene.tol.eps)
-    if len(between) >= scene.n:
-        notes.append(f"pair {pair.index}: expansion spans every vertex")
-        return None
-    j = min(set(range(scene.n)) - set(between))
-    proof = contained_in_hull(scene.body(witness_idx), dom,
-                              scene.vertices_except(j),
-                              eps=scene.tol.eps * REVALIDATION_SLACK)
-    if not proof.contained:
-        notes.append(f"pair {pair.index}: witness ({witness_idx},{j}) failed validation")
-        return None
-    trace = ConstructiveTrace(pair.index, pair.line.normal, pair.cw_next.normal,
-                              pair.delta, dominant_idx, 0, alpha, beta,
-                              tuple(between), (witness_idx, j), tuple(notes))
-    return witness_idx, j, proof, trace
-
-
-def _half_plane_cut(scene: Scene, pair: AdjacentPair, dominant_idx: int, notes):
-    """Case 1, the right sweep passes no container vertex: both bodies lie
-    on the body side of the pair's first line, and the first interior
-    vertex of its cut-off chain whose drop validates is the witness."""
-    chain = _cut_vertices(scene, pair)
-    notes.append(f"pair {pair.index}: case 1, cut chain {chain}")
-    for j in sorted(chain[1:-1]):
-        for i in (0, 1):
-            proof = contained_in_hull(scene.body(i), scene.body(1 - i),
-                                      scene.vertices_except(j),
-                                      eps=scene.tol.eps * REVALIDATION_SLACK)
-            if proof.contained:
-                trace = ConstructiveTrace(pair.index, pair.line.normal,
-                                          pair.cw_next.normal, pair.delta,
-                                          dominant_idx, 1, math.nan, math.nan,
-                                          (), (i, j), tuple(notes))
-                return i, j, proof, trace
-    notes.append(f"pair {pair.index}: case 1 found no validating vertex")
+    polygonal = is_polygonal(scene.a0) and is_polygonal(scene.a1)
+    events = {}
+    for pair in adjacent_pairs(csl):
+        d = 0 if csl.signs[pair.index] > 0 else 1
+        key = "hull" if polygonal else d
+        if key not in events:
+            body = hull_pair_body(scene.a0, scene.a1) if polygonal else scene.body(d)
+            events[key], _ = vertex_hit_events(body, scene.container, scene.tol.eps)
+        arc = NormalArc(pair.line.normal, pair.delta)
+        lefts = [e.vertex for e in _events_in_arc(events[key], arc) if e.side == "L"]
+        if len(set(lefts)) >= 2:
+            return pair, d, lefts[-1]
     return None
 
 
-def _cut_vertices(scene: Scene, pair: AdjacentPair):
-    """Container vertices strictly beyond the pair's first line, clockwise."""
-    g = scene.container
-    line = pair.line
-    n = math.cos(line.normal), math.sin(line.normal)
-    scale = 1.0 + g.max_coord()
-    beyond = set(i for i, v in enumerate(g.vertices)
-                 if float(v.x) * n[0] + float(v.y) * n[1] - line.offset
-                 > scene.tol.eps * scale)
-    if not beyond:
-        return []
-    # the line's contact lies in the container, so not every vertex is cut;
-    # the cut ones form one contiguous run; order it clockwise, i.e.
-    # starting from the run member whose ccw successor is not cut
-    start = next(i for i in beyond if (i + 1) % g.n not in beyond)
-    out = [start]
-    i = (start - 1) % g.n
-    while i in beyond:
-        out.append(i)
-        i = (i - 1) % g.n
-    return out
+def _vertex_in_body(scene: Scene):
+    """(d, k) for the first container vertex g_k inside a body A_d, else None."""
+    for k, v in enumerate(scene.container.vertices):
+        for d in (0, 1):
+            if body_contains_point(scene.body(d), v, scene.tol.eps):
+                return d, k
+    return None
 
 
 def check_carousel_constructive(scene: Scene, csl=None):
     """Witness via the sweep pigeonhole; returns (certificate, trace).
 
-    Requires fewer common supporting lines than container vertices.  A
-    scene with no common supporting line at all short-circuits: one
-    support function strictly dominates, so the dominated body sits
-    inside the other and any dropped vertex witnesses the rule.  Inside a
-    gap the pair hull's support is the dominant body's, so each gap reads
-    its vertex events off that body; a polygonal pair reads them off its
-    hull polygon, which is one pass for both bodies.
+    Requires s < n common supporting lines.  With s = 0 one support
+    function strictly dominates, so the dominated body sits inside the
+    other and any dropped vertex witnesses the rule.  Otherwise:
+
+    Case 0, a crowded gap.  In a gap the dominant body D (sign from the CSL
+    pass) has h_D >= h_W on the closed normal arc, W the other body.  A
+    left event of a container vertex is the normal of D's supporting line
+    whose exit, travelled with D on the left, is that vertex.  The exits
+    sweep the boundary clockwise (the sweep lemma, which
+    sweep_partition_ok checks), so a gap's left events sit at consecutive
+    vertices.  In a crowded gap let g_j be the last, and g_{j+1}, its
+    counterclockwise neighbour, the one before it, at normals L_j and
+    L_{j+1}; let H = conv(D u G \\ {g_j}).  Then W lies in H:
+      * h_H = h_G >= h_W at every normal where a vertex other than g_j
+        attains h_G, or where D's line keeps g_j.  What is left is the part
+        of the normal cone N_j of g_j on the arc C where D's line cuts g_j
+        off; C starts at L_j and runs counterclockwise for less than pi.
+      * On C up to L_{j+1} the normals lie in the gap: h_W <= h_D <= h_H.
+      * Past L_{j+1}: the boundary from a left exit clockwise to the right
+        exit lies beyond the line, so g_j.u >= g_{j+1}.u at u = u(L_{j+1});
+        that is, L_{j+1} lies on the half circle that ends counterclockwise
+        at the normal n_j of the edge g_j g_{j+1}, as does N_j.  A normal of
+        C n N_j beyond L_{j+1} is less than pi further, so it lies on the
+        arc from L_{j+1} counterclockwise to n_j, and its u is a
+        non-negative combination of u(L_{j+1}) and n_j.  W lies in
+        x.u(L_{j+1}) <= h_D(L_{j+1}) = g_{j+1}.u(L_{j+1}) (dominance) and in
+        x.n_j <= g_{j+1}.n_j (W in G), so h_W(u) <= g_{j+1}.u <= h_H(u).
+    The first crowded gap in CSL order drops g_j, and W is the witness.
+
+    Case 1, a vertex in a body.  The s sweeps pass all n > s vertices, and
+    a vertex outside the pair's hull has its left event in the gap whose
+    sweep passes it.  If no gap is crowded, some vertex has none, so it
+    lies in the pair's hull, and, being an extreme point of G, in a body
+    A_d.  Then conv(A_d u G \\ {g_k}) = G holds the other body.
+
+    Ties and tolerances aside the two cases always find a witness.  A
+    scene where they find none, or whose witness fails its re-validation,
+    raises ConstructiveSearchFailed.
     """
     if csl is None:
         csl = scene_csl(scene)
@@ -325,66 +285,37 @@ def check_carousel_constructive(scene: Scene, csl=None):
     s = csl.count
     if s >= scene.n:
         raise CommonLineCountTooLarge(f"s = {s} >= n = {scene.n}")
-    eps = scene.tol.eps
-
     if s == 0:
-        d = support_difference(scene.a0, scene.a1, 0.0)
-        witness_idx = 1 if d > 0 else 0
-        dominant_idx = 1 - witness_idx
+        dominant_idx = 0 if support_difference(scene.a0, scene.a1, 0.0) > 0 else 1
         j = 0
-        proof = contained_in_hull(scene.body(witness_idx), scene.body(dominant_idx),
-                                  scene.vertices_except(j), eps=eps * REVALIDATION_SLACK)
-        trace = ConstructiveTrace(-1, math.nan, math.nan, math.nan, dominant_idx,
-                                  0, 0.0, 0.0, (), (witness_idx, j),
-                                  ("no common supporting line: dominated body "
-                                   "lies inside the dominant one",))
-        verdict = "holds" if proof.contained else "degenerate"
-        return (Certificate(verdict, witness_idx, j, proof, None, reason,
-                            proof.near_zero(FRAGILE_FACTOR * eps)), trace)
-
-    if is_polygonal(scene.a0) and is_polygonal(scene.a1):
-        events, degenerate = vertex_hit_events(hull_pair_body(scene.a0, scene.a1),
-                                               scene.container, eps)
-        events_of = (events, events)
+        trace = ConstructiveTrace(dominant=dominant_idx, case=0,
+                                  witness=(1 - dominant_idx, j),
+                                  notes=("no common supporting line: dominated body "
+                                         "lies inside the dominant one",))
+    elif (crowded := _crowded_gap(scene, csl)) is not None:
+        pair, dominant_idx, j = crowded
+        trace = ConstructiveTrace(pair.index, pair.line.normal, pair.cw_next.normal,
+                                  pair.delta, dominant_idx, 0, (1 - dominant_idx, j))
+    elif (found := _vertex_in_body(scene)) is not None:
+        dominant_idx, j = found
+        trace = ConstructiveTrace(dominant=dominant_idx, case=1,
+                                  witness=(1 - dominant_idx, j),
+                                  notes=(f"no crowded gap: container vertex {j} "
+                                         f"lies in body {dominant_idx}",))
     else:
-        (ev0, deg0), (ev1, deg1) = (vertex_hit_events(b, scene.container, eps)
-                                    for b in (scene.a0, scene.a1))
-        events_of, degenerate = (ev0, ev1), sorted(set(deg0) | set(deg1))
-    notes = []
-    if degenerate:
-        notes.append(f"container vertices touching the hull: {degenerate}")
-
-    # pigeonhole: prefer pairs whose left sweep passes at least two vertices
-    order = []
-    for pair in adjacent_pairs(csl):
-        sign = csl.signs[pair.index]
-        in_arc = _events_in_arc(events_of[0 if sign > 0 else 1],
-                                NormalArc(pair.line.normal, pair.delta))
-        lefts = {e.vertex for off, e in in_arc if e.side == "L"}
-        order.append((len(lefts) < 2, pair.index, pair, sign, in_arc))
-    order.sort(key=lambda t: (t[0], t[1]))
-
-    for *_, pair, sign, in_arc in order:
-        got = _search_pair(scene, pair, sign, in_arc, notes)
-        if got is not None:
-            witness_idx, j, proof, trace = got
-            cert = Certificate("holds", witness_idx, j, proof, None, reason,
-                               proof.near_zero(FRAGILE_FACTOR * eps))
-            return cert, trace
-    # rare configuration (roughly 1e-4 of random scenes): every adjacent
-    # pair's right vertex hits precede all its left hits, so no pair admits
-    # turn angles within its gap budget.  The theorem still applies; fall
-    # back to the containment scan and mark the trace accordingly.
-    notes.append("sweep toolkit exhausted: no pair admits an ordered "
-                 "vertex-hit combination; witness via containment scan")
-    cert = _containment_scan(scene, eps * REVALIDATION_SLACK, reason)
-    if cert.verdict == "holds":
-        trace = ConstructiveTrace(-1, math.nan, math.nan, math.nan,
-                                  1 - cert.i, -2, math.nan, math.nan, (),
-                                  (cert.i, cert.j), tuple(notes))
-        return cert, trace
-    raise ConstructiveSearchFailed(
-        f"no witness at all despite s < n; notes: {notes}")
+        raise ConstructiveSearchFailed(
+            f"no crowded gap and no container vertex in a body at s = {s} < n = {scene.n}")
+    eps = scene.tol.eps
+    proof = contained_in_hull(scene.body(1 - dominant_idx), scene.body(dominant_idx),
+                              scene.vertices_except(j), eps=eps * REVALIDATION_SLACK)
+    if not proof.contained and s > 0:
+        raise ConstructiveSearchFailed(
+            f"case {trace.case} witness {trace.witness} fails re-validation "
+            f"(margin {proof.margin})")
+    # at s = 0 no gap argument is made: a failed containment marks the scene
+    verdict = "holds" if proof.contained else "degenerate"
+    return (Certificate(verdict, 1 - dominant_idx, j, proof, None, reason,
+                        proof.near_zero(FRAGILE_FACTOR * eps)), trace)
 
 
 @dataclass(frozen=True)

@@ -257,9 +257,6 @@ def trace_to_doc(trace: ConstructiveTrace) -> dict:
         "delta": float(trace.delta),
         "dominant": trace.dominant,
         "case": trace.case,
-        "alpha": float(trace.alpha),
-        "beta": float(trace.beta),
-        "between": list(trace.between),
         "witness": list(trace.witness) if trace.witness else None,
         "notes": list(trace.notes),
     }

@@ -249,17 +249,14 @@ def test_summarize_campaign_flags_violations():
         dict(base, index=2, verdict="fails", s=7, n=5),          # allowed
         dict(base, index=3, degenerate=True, verdict="fails"),   # excluded
         dict(base, index=4, error="boom"),
-        dict(base, index=5, constructive_case=-2),
-        dict(base, index=6, s=5, n=5, verdict="fails"),          # tight even
+        dict(base, index=5, s=4, n=4, verdict="fails"),          # tight
+        dict(base, index=6, s=4, n=4, degenerate=True),          # tight, excluded
     ]
     s = summarize_campaign(records)
     assert s["theorem_violations"] == [1]
-    assert s["counts"]["errors"] == 1
-    assert s["counts"]["toolkit_fallbacks"] == 1
-    assert s["counts"]["degenerate"] == 1
-    # only scene 6 is tight (s == n), with odd count and a failing verdict
-    assert s["tight_scenes"] == {"odd_holds": 0, "odd_fails": 1,
-                                 "even_holds": 0, "even_fails": 0}
+    assert s["counts"] == {"holds": 2, "fails": 4, "degenerate": 2, "fragile": 0,
+                           "errors": 1}
+    assert s["tight_scenes"] == {"holds": 0, "fails": 1}
 
 
 def test_campaign_worker_count_invariance():

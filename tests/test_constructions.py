@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,10 @@ from carousel.constructions import (
     sharpness_validate,
     validate_ellipse_hull_counterexample,
 )
+from carousel.bodies import PolygonBody
 from carousel.errors import OddVertexCount
-from carousel.kernel import TWO_PI, circ_dist
-from carousel.rule import check_carousel_bruteforce, scene_csl, verify_scene
+from carousel.kernel import TWO_PI, ConvexPolygon, Point, circ_dist
+from carousel.rule import Scene, check_carousel_bruteforce, scene_csl, verify_scene
 from carousel.tangency import CslLines, adjacent_pairs
 
 
@@ -62,6 +64,30 @@ def test_sharpness_family_at_larger_n():
     for n in (16, 24, 32, 48, 64):
         report = sharpness_validate(sharpness_construct(n))
         assert report.ok, (n, report.details)
+
+
+def _exact_scene(container, a0, a1):
+    """Exact-mode scene on the same coordinates: Fraction(x) is a float's
+    exact value."""
+    def exact(poly):
+        return ConvexPolygon(tuple(Point(Fraction(p.x), Fraction(p.y)) for p in poly.vertices))
+
+    return Scene(PolygonBody(exact(a0)), PolygonBody(exact(a1)), exact(container),
+                 "exact").validate()
+
+
+def test_sharpness_fails_in_exact_mode():
+    # no tolerance enters an exact decision: the tight family fails with
+    # s = n, and a triangle fails with s = n + 1 = 4
+    scenes = [(n, _exact_scene(inst.container, inst.a0, inst.a1))
+              for n in (4, 6, 8, 10, 12) for inst in [sharpness_construct(n)]]
+    odd = generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)), 12)
+    scenes.append((4, _exact_scene(odd.container, odd.a0.poly, odd.a1.poly)))
+    for s, scene in scenes:
+        rec = verify_scene(scene)
+        assert (rec["error"], rec["degenerate"], rec["verdict"], rec["s"]) == \
+            (None, False, "fails", s)
+    assert scenes[-1][1].n == 3
 
 
 def test_sharpness_validate_n6_value():

@@ -5,12 +5,15 @@ build environment; a mismatch means behavior changed and needs review.
 """
 
 import pathlib
+from fractions import Fraction as F
 
 import pytest
 
+from carousel.bodies import PolygonBody
 from carousel.cli import main
 from carousel.constructions import FuzzConfig, generate_fuzz_scene, scene_as_float
-from carousel.rule import check_carousel_bruteforce
+from carousel.kernel import ConvexPolygon, Point
+from carousel.rule import Scene, check_carousel_bruteforce
 from carousel.sceneio import (
     canonical_dumps,
     certificate_to_doc,
@@ -79,22 +82,23 @@ def test_sector_demo_svg_golden(tmp_path):
     assert svg == (GOLDEN / "sector_demo.svg").read_bytes()
     text = svg.decode()
     assert text.count("stroke-dasharray") == 2  # dotted common supporting lines
-    assert "#9e9e9e" in text and "#dddddd" in text  # dark base, light expansion
+    assert "#9e9e9e" in text and "#dddddd" not in text  # the chosen gap's sector only
 
 
 def test_ellipse_sector_svg_golden(tmp_path):
-    # an ellipse/ellipse scene whose render clips two 514-plane sectors
+    # an ellipse/ellipse scene whose render clips one 514-plane sector
     got = _cli_bytes(tmp_path, ["gen", "--kind", "fuzz", "--seed", "2026", "--index", "0"],
                      "f.json")
     assert got == (GOLDEN / "fuzz_seed2026_0.json").read_bytes()
     svg = _cli_bytes(tmp_path, ["render", str(GOLDEN / "fuzz_seed2026_0.json")], "f.svg")
     assert svg == (GOLDEN / "fuzz_seed2026_0.svg").read_bytes()
-    assert "#9e9e9e" in svg.decode() and "#dddddd" in svg.decode()
+    assert "#9e9e9e" in svg.decode() and "#dddddd" not in svg.decode()
 
 
 def test_mixed_gap_scene_and_check_golden(tmp_path):
     # an ellipse/polygon scene whose first gap holds a thin opposite-sign
-    # excursion: the output pins the constructive witness and trace there
+    # excursion: the output pins the constructive witness and trace there,
+    # where the crowded first gap drops vertex 1
     got = _cli_bytes(tmp_path, ["gen", "--kind", "fuzz", "--seed", "2026",
                                 "--index", "614"], "m.json")
     assert got == (GOLDEN / "mixed_gap_2026_614.json").read_bytes()
@@ -116,18 +120,36 @@ def test_smooth_fails_certificate_golden(tmp_path):
     assert len(load_document(str(out))["certificate"]["refutations"]) == 6
 
 
+def _vertex_in_body_scene():
+    tri = ConvexPolygon((Point(F(0), F(0)), Point(F(12), F(0)), Point(F(0), F(12))))
+    a0 = PolygonBody(ConvexPolygon((Point(F(0), F(0)), Point(F(6), F(1)), Point(F(0), F(6)))))
+    a1 = PolygonBody(ConvexPolygon((Point(F(2), F(2)), Point(F(4), F(5)), Point(F(3), F(8)))))
+    return Scene(a0, a1, tri, mode="exact")
+
+
+# scenes built by the library rather than by `carousel gen`
+LIBRARY_SCENES = {
+    "fallback_556_2374": lambda: generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)),
+                                                     2374),
+    "vertex_in_body_exact": _vertex_in_body_scene,
+}
+
+
 @pytest.mark.parametrize("name, gen_args", [
-    # polygon/ellipse: case 1 cuts the chain [4, 3, 2] and drops vertex 3
+    # case1_* and fallback_* name the decider paths that first pinned them
+    # polygon/ellipse: the crowded first gap drops vertex 3
     ("case1_fuzz2026_33", ["--kind", "fuzz", "--seed", "2026", "--index", "33"]),
-    # exact mode: case 1 on pair 1
+    # exact mode: the crowded second gap drops vertex 4, witness (1, 4)
     ("case1_integer2", ["--kind", "integer", "--seed", "2"]),
-    # polygon pair whose every pair lacks an ordered event pair: the -2 scan
+    # polygon pair whose every gap lists its right events before its left ones
     ("fallback_556_2374", None),
+    # exact mode, no crowded gap: A_0 holds g_0, so case 1 drops it
+    ("vertex_in_body_exact", None),
 ])
 def test_constructive_path_check_goldens(tmp_path, name, gen_args):
     scene_path = GOLDEN / f"{name}.json"
     if gen_args is None:
-        scene = generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)), 2374)
+        scene = LIBRARY_SCENES[name]()
         assert canonical_dumps(scene_to_doc(scene)) + "\n" == scene_path.read_text()
     else:
         got = _cli_bytes(tmp_path, ["gen"] + gen_args, "s.json")
@@ -140,7 +162,8 @@ def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
                  "sharpness6.json", "case1_fuzz2026_33.json", "case1_integer2.json",
-                 "fallback_556_2374.json", "fails_smooth_2026_151.json"):
+                 "fallback_556_2374.json", "fails_smooth_2026_151.json",
+                 "vertex_in_body_exact.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

@@ -16,6 +16,7 @@ from carousel.bodies import (
 )
 from carousel.errors import (
     CommonLineCountTooLarge,
+    ConstructiveSearchFailed,
     ModeMixError,
     SceneInvariantError,
 )
@@ -134,47 +135,46 @@ def test_edge_collinear_common_line():
     assert rec["constructive_ok"] and rec["dichotomy_ok"] and rec["sweeps_ok"]
 
 
-def test_half_plane_case_witness():
-    # unequal disks low in a tall container, tangent cone opening toward the
-    # long bottom edge: the right exits of the pigeonhole pair stay inside
-    # that edge, forcing the half-plane branch of the constructive decider
+def test_vertex_in_body_case_witness(monkeypatch):
+    # A_0 touches the container vertex g_0, and no gap has left events at two
+    # vertices: the crowded-gap drop alone raises on this scene, and case 1
+    # drops g_0, since conv(A_0 u G minus g_0) = G holds A_1
+    g = ConvexPolygon((Point(F(0), F(0)), Point(F(12), F(0)), Point(F(0), F(12))))
+    a0 = PolygonBody(ConvexPolygon((Point(F(0), F(0)), Point(F(6), F(1)), Point(F(0), F(6)))))
+    a1 = PolygonBody(ConvexPolygon((Point(F(2), F(2)), Point(F(4), F(5)), Point(F(3), F(8)))))
+    scene = Scene(a0, a1, g, mode="exact").validate()
+    assert scene_csl(scene).count == 2
+    cert, trace = check_carousel_constructive(scene)
+    assert (cert.verdict, cert.i, cert.j) == ("holds", 1, 0) and cert.proof.contained
+    assert (trace.case, trace.witness, trace.dominant) == (1, (1, 0), 0)
+    rec = verify_scene(scene)
+    assert rec["error"] is None and rec["constructive_case"] == 1 and rec["cross_agree"]
+    monkeypatch.setattr(rule, "_vertex_in_body", lambda scene: None)
+    with pytest.raises(ConstructiveSearchFailed):
+        check_carousel_constructive(scene)
+
+
+def test_crowded_gap_needs_no_right_event_or_event_order():
+    # a crowded gap with no right event (unequal disks low in a tall hexagon)
+    # and two polygon pairs whose gaps list their right events before their
+    # left ones: the drop reads only the left events
     g = ConvexPolygon((Point(-10.0, 0.0), Point(10.0, 0.0), Point(12.0, 9.0),
                        Point(3.0, 12.0), Point(-1.0, 12.2), Point(-12.0, 8.0)))
-    scene = Scene(Disk(Point(-0.1, 1.0), 0.231), Disk(Point(0.1, 1.0), 0.05), g)
-    scene.validate()
-    cert, trace = check_carousel_constructive(scene)
-    assert cert.verdict == "holds"
-    assert trace.case == 1
-    assert "cut chain" in " ".join(trace.notes)
-    # the dropped vertex is interior to the cut chain, never an endpoint
-    chain_note = next(n for n in trace.notes if "cut chain" in n)
-    assert cert.j not in (1, 4)
-    report = cross_validate(scene)
-    assert report.agree and report.constructive.proof.contained
-    rec = verify_scene(scene)
-    assert rec["error"] is None and rec["constructive_case"] == 1
-
-
-def test_sweep_toolkit_exhaustion_fallback():
-    # regression: a polygon scene where, in every adjacent pair, all right
-    # vertex hits precede all left hits, so no pair satisfies its turn
-    # budget and the decider falls back to the containment scan
-    from carousel.constructions import FuzzConfig, generate_fuzz_scene
-
-    scene = generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)), 2374)
-    cert, trace = check_carousel_constructive(scene)
-    assert cert.verdict == "holds"
-    assert trace.case == -2
-    assert "containment scan" in trace.notes[-1]
-    assert trace.witness == (cert.i, cert.j) and trace.dominant == 1 - cert.i
-    assert cert.min_margin == cert.proof.margin
-    assert cert.fragile == (abs(cert.proof.margin) <= rule.FRAGILE_FACTOR * scene.tol.eps)
-    report = cross_validate(scene)
-    assert report.agree and report.constructive.proof.contained
+    cfg = FuzzConfig(seed=556, kinds=("polygon",))
+    scenes = [Scene(Disk(Point(-0.1, 1.0), 0.231), Disk(Point(0.1, 1.0), 0.05), g),
+              generate_fuzz_scene(cfg, 2374), generate_fuzz_scene(cfg, 3263)]
+    for scene, witness in zip(scenes, ((0, 3), (0, 3), (0, 4))):
+        cert, trace = check_carousel_constructive(scene.validate())
+        assert cert.verdict == "holds" and cert.proof.contained
+        assert (trace.case, trace.witness, trace.notes) == (0, witness, ())
+        assert trace.witness == (cert.i, cert.j) and trace.dominant == 1 - cert.i
+        assert cert.fragile == (abs(cert.proof.margin) <= rule.FRAGILE_FACTOR * scene.tol.eps)
+        rec = verify_scene(scene)
+        assert rec["error"] is None and rec["constructive_case"] == 0 and rec["cross_agree"]
 
 
 @pytest.mark.parametrize("seed, index, brute_ij, witness", [
-    (2026, 614, (0, 0), (0, 0)),  # ellipse / polygon, n = 7
+    (2026, 614, (0, 0), (0, 1)),  # ellipse / polygon, n = 7
     (7411, 4, (0, 1), (1, 0)),    # polygon / disk, n = 3
 ])
 def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
@@ -419,20 +419,29 @@ def test_sweep_partition_computes_each_line_exit_once(monkeypatch):
     assert checked >= 5
 
 
-def test_constructive_decider_turns_no_line_and_computes_no_exit(monkeypatch):
-    # the turned lines' exits land on the vertices of the events that set
-    # the turn angles, so the chain ends are read off those events
+def test_constructive_decider_makes_one_containment_test_and_no_sector_or_scan(monkeypatch):
+    # with 1 <= s < n the decider drops one vertex of one gap and re-validates
+    # that drop: no line turns, no exit, vertex chain or sector is computed,
+    # and the brute-force scan never runs
     calls = []
-    for module, name in ((sectors, "boundary_exit"), (tangency, "slide_turn"),
-                         (rule, "slide_turn")):
-        if hasattr(module, name):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name,
-                                **kwargs: calls.append(_name) or _real(*args, **kwargs))
-    scene = Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE)
-    cert, trace = check_carousel_constructive(scene)
-    assert cert.verdict == "holds" and trace.case == 0 and trace.between == (2, 1)
-    assert calls == []
+    for module in (rule, sectors, tangency, bodies):
+        for name in ("contained_in_hull", "vertices_between", "sector_from_arc",
+                     "drop_one_containment", "check_carousel_bruteforce",
+                     "boundary_exit", "slide_turn"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name,
+                                    **kwargs: calls.append(_name) or _real(*args, **kwargs))
+    tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
+    tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
+    for scene in (Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE),
+                  Scene(tri0, tri1, BIG_SQUARE)):
+        csl = scene_csl(scene)
+        assert 1 <= csl.count < scene.n
+        calls.clear()
+        cert, trace = check_carousel_constructive(scene, csl)
+        assert cert.verdict == "holds" and trace.case == 0
+        assert calls == ["contained_in_hull"]
 
 
 def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):
