@@ -154,23 +154,42 @@ def test_vertex_in_body_case_witness(monkeypatch):
         check_carousel_constructive(scene)
 
 
-def test_crowded_gap_needs_no_right_event_or_event_order():
-    # a crowded gap with no right event (unequal disks low in a tall hexagon)
-    # and two polygon pairs whose gaps list their right events before their
-    # left ones: the drop reads only the left events
+def _assert_crowded_gap_drop(scene, witness):
+    cert, trace = check_carousel_constructive(scene.validate())
+    assert cert.verdict == "holds" and cert.proof.contained
+    assert (trace.case, trace.witness, trace.notes) == (0, witness, ())
+    assert trace.witness == (cert.i, cert.j) and trace.dominant == 1 - cert.i
+    assert cert.min_margin == cert.proof.margin
+    assert cert.fragile == (abs(cert.proof.margin) <= rule.FRAGILE_FACTOR * scene.tol.eps)
+    report = cross_validate(scene)
+    assert report.agree and report.constructive.proof.contained
+    rec = verify_scene(scene)
+    assert rec["error"] is None and rec["constructive_case"] == 0 and rec["cross_agree"]
+
+
+def test_half_plane_case_witness():
+    # unequal disks low in a tall container, tangent cone opening toward the
+    # long bottom edge: the crowded gap has no right event at all (this scene
+    # once forced a half-plane cut), and the drop reads only its left events
     g = ConvexPolygon((Point(-10.0, 0.0), Point(10.0, 0.0), Point(12.0, 9.0),
                        Point(3.0, 12.0), Point(-1.0, 12.2), Point(-12.0, 8.0)))
-    cfg = FuzzConfig(seed=556, kinds=("polygon",))
-    scenes = [Scene(Disk(Point(-0.1, 1.0), 0.231), Disk(Point(0.1, 1.0), 0.05), g),
-              generate_fuzz_scene(cfg, 2374), generate_fuzz_scene(cfg, 3263)]
-    for scene, witness in zip(scenes, ((0, 3), (0, 3), (0, 4))):
-        cert, trace = check_carousel_constructive(scene.validate())
-        assert cert.verdict == "holds" and cert.proof.contained
-        assert (trace.case, trace.witness, trace.notes) == (0, witness, ())
-        assert trace.witness == (cert.i, cert.j) and trace.dominant == 1 - cert.i
-        assert cert.fragile == (abs(cert.proof.margin) <= rule.FRAGILE_FACTOR * scene.tol.eps)
-        rec = verify_scene(scene)
-        assert rec["error"] is None and rec["constructive_case"] == 0 and rec["cross_agree"]
+    scene = Scene(Disk(Point(-0.1, 1.0), 0.231), Disk(Point(0.1, 1.0), 0.05), g)
+    _assert_crowded_gap_drop(scene, (0, 3))
+
+
+def test_sweep_toolkit_exhaustion_fallback():
+    # regression: a polygon scene where, in every adjacent pair, all right
+    # vertex hits precede all left hits (this scene once fell through to a
+    # containment scan); the crowded-gap drop ignores the event order
+    scene = generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)), 2374)
+    _assert_crowded_gap_drop(scene, (0, 3))
+
+
+def test_crowded_gap_needs_no_right_event_or_event_order():
+    # a second polygon pair whose gaps list their right events before their
+    # left ones: the drop reads only the left events
+    scene = generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)), 3263)
+    _assert_crowded_gap_drop(scene, (0, 4))
 
 
 @pytest.mark.parametrize("seed, index, brute_ij, witness", [
