@@ -5,7 +5,7 @@ check (carousel rule deciders), fuzz (seeded campaign), render (SVG).
 
 Exit codes: 0 ok/holds, 2 fails, 3 degenerate scene, 4 precondition
 violation, 64 malformed input or usage, 65 scene invariant violation, 66
-missing annotation layer with --no-compute, 70 internal disagreement.
+missing annotation layer with --no-compute.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .constructions import (
     sharpness_construct,
 )
 from .bodies import PolygonBody
-from .errors import CommonLineCountTooLarge, CrossValidationDisagreement, GeometryError
+from .errors import CommonLineCountTooLarge, GeometryError
 from .kernel import as_float_point
 from .rule import (
     Scene,
     check_carousel_bruteforce,
     check_carousel_constructive,
     cross_validate,
-    hull_pair_body,
     scene_csl,
     verify_scene,
 )
@@ -57,11 +56,9 @@ EXIT_PRECONDITION = 4
 EXIT_BAD_INPUT = 64
 EXIT_INVARIANT = 65
 EXIT_MISSING_LAYER = 66
-EXIT_DISAGREEMENT = 70
 
 _ERROR_EXITS = ((DocumentError, EXIT_BAD_INPUT),
                 (CommonLineCountTooLarge, EXIT_PRECONDITION),
-                (CrossValidationDisagreement, EXIT_DISAGREEMENT),
                 (GeometryError, EXIT_INVARIANT))  # scene invariants, mode mixes
 
 
@@ -300,12 +297,11 @@ def compute_annotations(scene: Scene, layers) -> dict:
         return ann
     pairs = adjacent_pairs(csl)
     if "sweeps" in layers:
-        hull = hull_pair_body(scene.a0, scene.a1)
+        exits = {}
         sweeps = []
         for pair in pairs:
             try:
-                sw = sweep(pair.line, pair.cw_next, hull, scene.container,
-                           scene.tol.eps)
+                sw = sweep(pair.line, pair.cw_next, scene.container, scene.tol.eps, exits)
             except GeometryError:
                 continue
             sweeps.append({"side": "L", "pair_index": pair.index,

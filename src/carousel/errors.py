@@ -29,10 +29,6 @@ class ContactOutsideContainer(GeometryError):
     """A supporting-line contact point does not lie in the container."""
 
 
-class LineSupportMismatch(GeometryError):
-    """A line handed to the sweep does not support the sweep body."""
-
-
 class SceneInvariantError(GeometryError):
     """Scene violates its invariants (body outside container, n < 3, ...)."""
 
@@ -43,10 +39,6 @@ class CommonLineCountTooLarge(GeometryError):
 
 class ConstructiveSearchFailed(GeometryError):
     """No adjacent pair yielded a witness; internal inconsistency."""
-
-
-class CrossValidationDisagreement(GeometryError):
-    """Constructive witness failed brute-force re-validation."""
 
 
 class RejectionLimitExceeded(GeometryError):

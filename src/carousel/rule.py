@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from .bodies import (
     ContainmentResult,
@@ -35,7 +35,6 @@ from .bodies import (
 from .errors import (
     CommonLineCountTooLarge,
     ConstructiveSearchFailed,
-    CrossValidationDisagreement,
     ModeMixError,
     SceneInvariantError,
 )
@@ -52,6 +51,7 @@ from .sectors import (
     vertex_hit_events,
 )
 from .tangency import (
+    AdjacentPair,
     CslArcs,
     CslIdentical,
     CslLines,
@@ -140,8 +140,8 @@ class ConstructiveTrace:
 
 FRAGILE_FACTOR = 1e3
 REVALIDATION_SLACK = 10.0
+DICHOTOMY_SLACK = 10.0  # eps multiple a body may stand out of a sector
 EVENT_ARC_TOL = 1e-7  # angular slack when assigning vertex events to a gap
-SWEEP_REL_TOL = 1e-6  # relative slack of the sweep partition checks
 
 
 def hull_pair_body(a0, a1):
@@ -194,35 +194,54 @@ def check_carousel_bruteforce(scene: Scene, csl=None) -> Certificate:
 # ---------------------------------------------------------------------------
 # constructive decider
 
-def _events_in_arc(events, arc: NormalArc):
-    """The events whose normals lie on the arc, clockwise from its start."""
-    inside = [e for e in events if arc.contains(e.normal, EVENT_ARC_TOL)]
-    return sorted(inside, key=lambda e: arc.clockwise_offset(e.normal))
+@dataclass(frozen=True)
+class Gap:
+    """A gap between adjacent common supporting lines: its dominant body
+    (the sign from the CSL pass) and the container vertices of that body's
+    left events in the gap, clockwise."""
+
+    pair: AdjacentPair
+    dominant: int
+    lefts: Tuple[int, ...]
 
 
-def _crowded_gap(scene: Scene, csl: CslLines):
-    """(pair, dominant index, dropped vertex) of the first crowded gap in CSL
-    order, else None.
+@dataclass(frozen=True)
+class GapTable:
+    """Every gap of a scene, and the container vertices that lie in a body."""
 
-    A gap is crowded when its dominant body has left vertex events at two
-    or more container vertices in it; the dropped vertex is that of the
-    last left event clockwise.  A polygonal pair reads every gap's events
-    off its hull polygon in one pass; a pair with a smooth body computes a
-    body's events when a gap first needs them.
-    """
+    gaps: Tuple[Gap, ...]
+    inside: FrozenSet[int]
+
+
+def _gaps(scene: Scene, csl: CslLines, passes: dict):
+    """Each gap in CSL order; an event pass runs when a gap first needs it
+    and stays in passes.  A polygonal pair reads every gap's events off its
+    hull polygon in one pass (in a gap the hull's left events are the
+    dominant body's); a pair with a smooth body computes each dominant
+    body's events once."""
     polygonal = is_polygonal(scene.a0) and is_polygonal(scene.a1)
-    events = {}
     for pair in adjacent_pairs(csl):
         d = 0 if csl.signs[pair.index] > 0 else 1
         key = "hull" if polygonal else d
-        if key not in events:
+        if key not in passes:
             body = hull_pair_body(scene.a0, scene.a1) if polygonal else scene.body(d)
-            events[key], _ = vertex_hit_events(body, scene.container, scene.tol.eps)
+            passes[key] = vertex_hit_events(body, scene.container, scene.tol.eps)
         arc = NormalArc(pair.line.normal, pair.delta)
-        lefts = [e.vertex for e in _events_in_arc(events[key], arc) if e.side == "L"]
-        if len(set(lefts)) >= 2:
-            return pair, d, lefts[-1]
-    return None
+        lefts = [e for e in passes[key][0]
+                 if e.side == "L" and arc.contains(e.normal, EVENT_ARC_TOL)]
+        lefts.sort(key=lambda e: arc.clockwise_offset(e.normal))
+        yield Gap(pair, d, tuple(e.vertex for e in lefts))
+
+
+def gap_table(scene: Scene, csl: CslLines) -> GapTable:
+    """The gaps of a scene with 1 <= s common lines, and the vertices its
+    event passes find inside their body: a container vertex in the pair's
+    hull is an extreme point of G, so it lies in A_0 or A_1 (without a
+    tangential zero s is even, so both bodies of a smooth pair have a pass)."""
+    passes = {}
+    gaps = tuple(_gaps(scene, csl, passes))
+    return GapTable(gaps, frozenset(k for _, degenerate in passes.values()
+                                    for k in degenerate))
 
 
 def _vertex_in_body(scene: Scene):
@@ -234,10 +253,12 @@ def _vertex_in_body(scene: Scene):
     return None
 
 
-def check_carousel_constructive(scene: Scene, csl=None):
+def check_carousel_constructive(scene: Scene, csl=None,
+                                table: Optional[GapTable] = None):
     """Witness via the sweep pigeonhole; returns (certificate, trace).
 
-    Requires s < n common supporting lines.  With s = 0 one support
+    Requires s < n common supporting lines.  A gap table the caller
+    already holds for the scene is reused.  With s = 0 one support
     function strictly dominates, so the dominated body sits inside the
     other and any dropped vertex witnesses the rule.  Otherwise:
 
@@ -245,11 +266,12 @@ def check_carousel_constructive(scene: Scene, csl=None):
     pass) has h_D >= h_W on the closed normal arc, W the other body.  A
     left event of a container vertex is the normal of D's supporting line
     whose exit, travelled with D on the left, is that vertex.  The exits
-    sweep the boundary clockwise (the sweep lemma, which
-    sweep_partition_ok checks), so a gap's left events sit at consecutive
-    vertices.  In a crowded gap let g_j be the last, and g_{j+1}, its
-    counterclockwise neighbour, the one before it, at normals L_j and
-    L_{j+1}; let H = conv(D u G \\ {g_j}).  Then W lies in H:
+    sweep the boundary clockwise (the sweep lemma; sweep_partition_ok
+    checks that each gap's sweep passes the vertices of its left events),
+    so a gap's left events sit at consecutive vertices.  In a crowded gap
+    let g_j be the last, and g_{j+1}, its counterclockwise neighbour, the
+    one before it, at normals L_j and L_{j+1}; let H = conv(D u G \\ {g_j}).
+    Then W lies in H:
       * h_H = h_G >= h_W at every normal where a vertex other than g_j
         attains h_G, or where D's line keeps g_j.  What is left is the part
         of the normal cone N_j of g_j on the arc C where D's line cuts g_j
@@ -285,6 +307,8 @@ def check_carousel_constructive(scene: Scene, csl=None):
     s = csl.count
     if s >= scene.n:
         raise CommonLineCountTooLarge(f"s = {s} >= n = {scene.n}")
+    # without a table, event passes stop at the first crowded gap
+    gaps = table.gaps if table is not None else _gaps(scene, csl, {})
     if s == 0:
         dominant_idx = 0 if support_difference(scene.a0, scene.a1, 0.0) > 0 else 1
         j = 0
@@ -292,8 +316,8 @@ def check_carousel_constructive(scene: Scene, csl=None):
                                   witness=(1 - dominant_idx, j),
                                   notes=("no common supporting line: dominated body "
                                          "lies inside the dominant one",))
-    elif (crowded := _crowded_gap(scene, csl)) is not None:
-        pair, dominant_idx, j = crowded
+    elif (gap := next((g for g in gaps if len(g.lefts) >= 2), None)) is not None:
+        pair, dominant_idx, j = gap.pair, gap.dominant, gap.lefts[-1]
         trace = ConstructiveTrace(pair.index, pair.line.normal, pair.cw_next.normal,
                                   pair.delta, dominant_idx, 0, (1 - dominant_idx, j))
     elif (found := _vertex_in_body(scene)) is not None:
@@ -326,60 +350,52 @@ class CrossReport:
     agree: bool
 
 
-def cross_validate(scene: Scene, csl=None,
-                   brute: Optional[Certificate] = None) -> CrossReport:
-    """Run both deciders; the constructive witness must pass brute force.
+def cross_validate(scene: Scene, csl=None, brute: Optional[Certificate] = None,
+                   table: Optional[GapTable] = None) -> CrossReport:
+    """Run both deciders; they agree when brute force finds the rule holds.
 
-    A brute-force certificate the caller already holds for the scene is
-    reused.  The witness re-validation is the constructive proof itself:
-    every constructive witness is a contained_in_hull call of body i in
-    the other body plus all vertices but j, at eps * REVALIDATION_SLACK.
+    A brute-force certificate or gap table the caller already holds for
+    the scene is reused.  The witness re-validation is the constructive
+    proof itself: every constructive witness is a contained_in_hull call
+    of body i in the other body plus all vertices but j, at
+    eps * REVALIDATION_SLACK, and the decider raises when it fails.
     """
     if csl is None:
         csl = scene_csl(scene)
     if brute is None:
         brute = check_carousel_bruteforce(scene, csl)
-    cons, trace = check_carousel_constructive(scene, csl)
-    if cons.verdict == "degenerate" or brute.verdict == "degenerate":
-        # degenerate tangency structure: agreement is vacuous
-        return CrossReport(brute, cons, trace, True)
-    if not cons.proof.contained:
-        raise CrossValidationDisagreement(
-            f"constructive witness {(cons.i, cons.j)} fails containment "
-            f"(margin {cons.proof.margin})")
-    return CrossReport(brute, cons, trace, brute.verdict == "holds")
+    cons, trace = check_carousel_constructive(scene, csl, table)
+    # degenerate tangency structure: agreement is vacuous
+    return CrossReport(brute, cons, trace,
+                       cons.verdict == "degenerate" or brute.verdict == "holds")
 
 
 # ---------------------------------------------------------------------------
 # per-scene verification bundle (campaign workhorse)
 
-def dichotomy_holds(scene: Scene, csl: CslLines) -> bool:
-    """For each adjacent pair, one body sits in the sector of the other."""
-    eps = scene.tol.eps * 10.0
-    for pair in adjacent_pairs(csl):
-        arc = NormalArc(pair.line.normal, pair.delta)
-        in_1 = sector_from_arc(scene.a1, arc).contains_body(scene.a0, eps)
-        in_0 = sector_from_arc(scene.a0, arc).contains_body(scene.a1, eps)
-        if not (in_1 or in_0):
+def dichotomy_holds(scene: Scene, table: GapTable) -> bool:
+    """In each gap the dominated body sits in the dominant body's sector."""
+    eps = scene.tol.eps * DICHOTOMY_SLACK
+    for gap in table.gaps:
+        sector = sector_from_arc(scene.body(gap.dominant),
+                                 NormalArc(gap.pair.line.normal, gap.pair.delta))
+        if not sector.contains_body(scene.body(1 - gap.dominant), eps):
             return False
     return True
 
 
-def sweep_partition_ok(scene: Scene, csl: CslLines) -> bool:
-    """Left sweeps tile the boundary and cover all vertices."""
-    hull = hull_pair_body(scene.a0, scene.a1)
-    g = scene.container
-    perim = g.as_float().perimeter
+def sweep_partition_ok(scene: Scene, table: GapTable) -> bool:
+    """Each gap's left sweep passes the vertices of its left events and
+    otherwise only vertices in a body; the sweeps pass every vertex."""
     exits = {}  # each line's exit ends one sweep and starts the next
-    sweeps = [sweep(p.line, p.cw_next, hull, g, scene.tol.eps, exits)
-              for p in adjacent_pairs(csl)]
-    total = sum(s.cw_length for s in sweeps)
-    if abs(total - perim) > SWEEP_REL_TOL * perim:
-        return False
     covered = set()
-    for s in sweeps:
-        covered.update(s.covered)
-    return covered == set(range(g.n))
+    for gap in table.gaps:
+        swept = set(sweep(gap.pair.line, gap.pair.cw_next, scene.container,
+                          scene.tol.eps, exits).covered)
+        if swept != set(gap.lefts) | (swept & table.inside):
+            return False
+        covered |= swept
+    return covered == set(range(scene.n))
 
 
 def verify_scene(scene: Scene) -> dict:
@@ -411,12 +427,13 @@ def verify_scene(scene: Scene) -> dict:
         if rec["csl_kind"] == "lines" and not rec["degenerate"]:
             s, n = csl.count, scene.n
             if 1 <= s < n:
-                report = cross_validate(scene, csl, brute)
+                table = gap_table(scene, csl)
+                report = cross_validate(scene, csl, brute, table)
                 rec["constructive_ok"] = report.constructive.verdict == "holds"
                 rec["constructive_case"] = report.trace.case
                 rec["cross_agree"] = report.agree
-                rec["dichotomy_ok"] = dichotomy_holds(scene, csl)
-                rec["sweeps_ok"] = sweep_partition_ok(scene, csl)
+                rec["dichotomy_ok"] = dichotomy_holds(scene, table)
+                rec["sweeps_ok"] = sweep_partition_ok(scene, table)
             elif s == 0:
                 cert, trace = check_carousel_constructive(scene, csl)
                 rec["constructive_ok"] = cert.verdict == "holds"

@@ -30,14 +30,12 @@ from .bodies import (
     is_polygonal,
     origin_radius,
     polygonal_vertices,
-    support,
     support_batch,
     supporting_line,
 )
 from .errors import (
     ContactOutsideContainer,
     ExpansionTooWide,
-    LineSupportMismatch,
 )
 from .kernel import (
     EPS,
@@ -268,26 +266,22 @@ class BoundarySweep:
     cw_length: float
 
 
-def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine, body,
+def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine,
           container: ConvexPolygon, eps: float = EPS,
           exits: Optional[dict] = None) -> BoundarySweep:
     """Boundary segment from the exit of l_from clockwise to l_to's.
 
     l_to is the clockwise successor of l_from among the common
-    supporting lines; the body is the hull of the scene pair, and both
-    lines must support it (that is what pins the exit's clockwise travel
-    between the two endpoints).  The same line passed twice means a full
-    turn and the sweep covers everything.  A dict passed as exits keeps
-    each line's exit, so that the sweeps meeting at a line compute its
-    exit once.
+    supporting lines of a body pair, so both lines support the pair's
+    hull, and the exit of the hull's turning supporting line travels
+    clockwise from one endpoint to the other.  The segment depends only
+    on the two lines and the container.  The same line passed twice
+    means a full turn and the sweep covers everything.  A dict passed as
+    exits keeps each line's exit, so that the sweeps meeting at a line
+    compute its exit once.
     """
     if exits is None:
         exits = {}
-    tol = max(eps, 1e-9) * (1.0 + origin_radius(body)) * 100.0
-    for line in (l_from, l_to):
-        if abs(support(body, line.normal).value - line.offset) > tol:
-            raise LineSupportMismatch(
-                f"line at normal {line.normal} does not support the sweep body")
     full = l_from is l_to or cw_gap(l_from.normal, l_to.normal) <= EPS_ANGLE
     for line in (l_from,) if full else (l_from, l_to):
         if line not in exits:

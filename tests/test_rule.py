@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +32,7 @@ from carousel.rule import (
     check_carousel_constructive,
     cross_validate,
     dichotomy_holds,
+    gap_table,
     hull_pair_body,
     scene_csl,
     sweep_partition_ok,
@@ -149,6 +151,9 @@ def test_vertex_in_body_case_witness(monkeypatch):
     assert (trace.case, trace.witness, trace.dominant) == (1, (1, 0), 0)
     rec = verify_scene(scene)
     assert rec["error"] is None and rec["constructive_case"] == 1 and rec["cross_agree"]
+    # g_0 is swept without a left event: the sweep check allows it because
+    # it lies in a body
+    assert rec["dichotomy_ok"] is True and rec["sweeps_ok"] is True
     monkeypatch.setattr(rule, "_vertex_in_body", lambda scene: None)
     with pytest.raises(ConstructiveSearchFailed):
         check_carousel_constructive(scene)
@@ -289,8 +294,25 @@ def test_dichotomy_and_sweeps_on_fixed_scene():
     scene = Scene(Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4), BIG_SQUARE)
     csl = scene_csl(scene)
     assert csl.count == 2
-    assert dichotomy_holds(scene, csl)
-    assert sweep_partition_ok(scene, csl)
+    table = gap_table(scene, csl)
+    assert dichotomy_holds(scene, table)
+    assert sweep_partition_ok(scene, table)
+
+
+def test_dichotomy_reads_the_gap_signs():
+    # with every gap's sign negated the dominated body is named dominant,
+    # and it does not hold the other in its sector.  The sweep check still
+    # passes: each body's turning line sweeps the boundary from the exit of
+    # the gap's first common line to that of its second, so the left events
+    # of either body in a gap sit at the same vertices
+    scene = Scene(Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4), BIG_SQUARE)
+    csl = scene_csl(scene)
+    flipped = dataclasses.replace(csl, signs=tuple(-s for s in csl.signs))
+    table = gap_table(scene, flipped)
+    assert [gap.dominant for gap in table.gaps] == [1 - gap.dominant
+                                                    for gap in gap_table(scene, csl).gaps]
+    assert not dichotomy_holds(scene, table)
+    assert sweep_partition_ok(scene, table)
 
 
 def test_verify_scene_record():
@@ -431,8 +453,9 @@ def test_sweep_partition_computes_each_line_exit_once(monkeypatch):
         if not (rec["sweeps_ok"] and rec["s"] >= 2):
             continue
         csl = scene_csl(scene)
+        table = gap_table(scene, csl)
         calls.clear()
-        assert sweep_partition_ok(scene, csl)
+        assert sweep_partition_ok(scene, table)
         assert len(calls) == csl.count
         checked += 1
     assert checked >= 5
@@ -461,6 +484,53 @@ def test_constructive_decider_makes_one_containment_test_and_no_sector_or_scan(m
         cert, trace = check_carousel_constructive(scene, csl)
         assert cert.verdict == "holds" and trace.case == 0
         assert calls == ["contained_in_hull"]
+
+
+def test_verify_scene_builds_one_gap_table_for_every_reader(monkeypatch):
+    # the decider, the dichotomy check and the sweep check share one gap
+    # table: one sector per gap, each event pass once, and no pair hull
+    # built for the sweeps
+    calls = Counter()
+    events = Counter()
+
+    def spy(name, real, count_body=False):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            if count_body:
+                events[id(args[0])] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rule, "gap_table", spy("gap_table", rule.gap_table))
+    monkeypatch.setattr(rule, "sector_from_arc", spy("sector_from_arc", rule.sector_from_arc))
+    monkeypatch.setattr(rule, "vertex_hit_events",
+                        spy("vertex_hit_events", rule.vertex_hit_events, True))
+    monkeypatch.setattr(rule, "hull_pair_body", spy("hull_pair_body", rule.hull_pair_body))
+    sweep_check = rule.sweep_partition_ok
+
+    def no_hull_in_sweep_check(*args):
+        before = calls["hull_pair_body"]
+        result = sweep_check(*args)
+        assert calls["hull_pair_body"] == before
+        return result
+
+    monkeypatch.setattr(rule, "sweep_partition_ok", no_hull_in_sweep_check)
+    tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
+    tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
+    for scene, polygonal in ((Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1),
+                                    TRIANGLE), False),
+                             (Scene(tri0, tri1, BIG_SQUARE), True)):
+        s = scene_csl(scene).count
+        assert 1 <= s < scene.n
+        calls.clear()
+        events.clear()
+        rec = verify_scene(scene)
+        assert rec["error"] is None and rec["dichotomy_ok"] and rec["sweeps_ok"]
+        assert calls["gap_table"] == 1
+        assert calls["sector_from_arc"] == s
+        assert all(count == 1 for count in events.values())
+        assert len(events) == (1 if polygonal else 2)
+        assert calls["hull_pair_body"] == (1 if polygonal else 0)
 
 
 def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):

@@ -208,7 +208,7 @@ def test_sweep_two_disks_in_square_matches_alpha_sampling():
     assert all(math.isclose(p.delta, math.pi, abs_tol=1e-9) for p in pairs)
     top = max(csl.lines, key=lambda l: math.sin(l.normal))
     pair = next(p for p in pairs if p.line is top)
-    sw = sweep(pair.line, pair.cw_next, hull, BIG_SQUARE)
+    sw = sweep(pair.line, pair.cw_next, BIG_SQUARE)
     # brute-force alpha sampling oracle: walk the exit point and collect the
     # vertices crossed at carrier-edge changes; clockwise travel on a ccw
     # polygon leaves edge e across vertex e into edge e-1
@@ -250,8 +250,7 @@ def test_sweep_single_line_covers_everything():
     csl = common_supporting_lines(a0, a1)
     assert csl.count == 1
     pair = adjacent_pairs(csl)[0]
-    hull = HullBody((a0, a1))
-    sw = sweep(pair.line, pair.cw_next, hull, BIG_SQUARE)
+    sw = sweep(pair.line, pair.cw_next, BIG_SQUARE)
     assert sorted(sw.covered) == [0, 1, 2, 3]
     assert math.isclose(sw.cw_length, BIG_SQUARE.perimeter)
 
@@ -259,10 +258,9 @@ def test_sweep_single_line_covers_everything():
 def test_consecutive_sweeps_share_endpoint():
     a0 = Disk(Point(-0.5, 0.1), 0.3)
     a1 = Disk(Point(0.6, -0.2), 0.4)
-    hull = HullBody((a0, a1))
     csl = common_supporting_lines(a0, a1)
     pairs = adjacent_pairs(csl)
-    sweeps = {p.index: sweep(p.line, p.cw_next, hull, BIG_SQUARE) for p in pairs}
+    sweeps = {p.index: sweep(p.line, p.cw_next, BIG_SQUARE) for p in pairs}
     # line i's sweep ends where the sweep of its clockwise successor starts
     for p in pairs:
         nxt_idx = next(q.index for q in pairs if q.line is p.cw_next)
