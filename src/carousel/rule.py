@@ -23,9 +23,6 @@ from typing import FrozenSet, Optional, Tuple
 
 from .bodies import (
     ContainmentResult,
-    HullBody,
-    PolygonBody,
-    body_contains_point,
     body_in_polygon,
     contained_in_hull,
     drop_one_containment,
@@ -38,12 +35,7 @@ from .errors import (
     ModeMixError,
     SceneInvariantError,
 )
-from .kernel import (
-    EPS,
-    EPS_ANGLE,
-    ConvexPolygon,
-    convex_hull,
-)
+from .kernel import EPS, EPS_ANGLE, ConvexPolygon
 from .sectors import (
     NormalArc,
     sector_from_arc,
@@ -144,13 +136,6 @@ DICHOTOMY_SLACK = 10.0  # eps multiple a body may stand out of a sector
 EVENT_ARC_TOL = 1e-7  # angular slack when assigning vertex events to a gap
 
 
-def hull_pair_body(a0, a1):
-    """Convex hull of the two bodies as a body."""
-    if is_polygonal(a0) and is_polygonal(a1):
-        return PolygonBody(convex_hull(polygonal_vertices(a0) + polygonal_vertices(a1)))
-    return HullBody((a0, a1))
-
-
 def scene_csl(scene: Scene):
     return common_supporting_lines(scene.a0, scene.a1, scene.tol.eps)
 
@@ -207,50 +192,27 @@ class Gap:
 
 @dataclass(frozen=True)
 class GapTable:
-    """Every gap of a scene, and the container vertices that lie in a body."""
+    """Every gap of a scene, and per body the container vertices inside it."""
 
     gaps: Tuple[Gap, ...]
-    inside: FrozenSet[int]
-
-
-def _gaps(scene: Scene, csl: CslLines, passes: dict):
-    """Each gap in CSL order; an event pass runs when a gap first needs it
-    and stays in passes.  A polygonal pair reads every gap's events off its
-    hull polygon in one pass (in a gap the hull's left events are the
-    dominant body's); a pair with a smooth body computes each dominant
-    body's events once."""
-    polygonal = is_polygonal(scene.a0) and is_polygonal(scene.a1)
-    for pair in adjacent_pairs(csl):
-        d = 0 if csl.signs[pair.index] > 0 else 1
-        key = "hull" if polygonal else d
-        if key not in passes:
-            body = hull_pair_body(scene.a0, scene.a1) if polygonal else scene.body(d)
-            passes[key] = vertex_hit_events(body, scene.container, scene.tol.eps)
-        arc = NormalArc(pair.line.normal, pair.delta)
-        lefts = [e for e in passes[key][0]
-                 if e.side == "L" and arc.contains(e.normal, EVENT_ARC_TOL)]
-        lefts.sort(key=lambda e: arc.clockwise_offset(e.normal))
-        yield Gap(pair, d, tuple(e.vertex for e in lefts))
+    inside: Tuple[FrozenSet[int], FrozenSet[int]]
 
 
 def gap_table(scene: Scene, csl: CslLines) -> GapTable:
-    """The gaps of a scene with 1 <= s common lines, and the vertices its
-    event passes find inside their body: a container vertex in the pair's
-    hull is an extreme point of G, so it lies in A_0 or A_1 (without a
-    tangential zero s is even, so both bodies of a smooth pair have a pass)."""
-    passes = {}
-    gaps = tuple(_gaps(scene, csl, passes))
-    return GapTable(gaps, frozenset(k for _, degenerate in passes.values()
-                                    for k in degenerate))
-
-
-def _vertex_in_body(scene: Scene):
-    """(d, k) for the first container vertex g_k inside a body A_d, else None."""
-    for k, v in enumerate(scene.container.vertices):
-        for d in (0, 1):
-            if body_contains_point(scene.body(d), v, scene.tol.eps):
-                return d, k
-    return None
+    """The gaps of a scene with s >= 1 common lines, in CSL order, from one
+    event pass per body.  A gap takes the left events of its dominant body
+    (sign from the CSL pass) that fall in its closed normal arc, clockwise."""
+    passes = [vertex_hit_events(body, scene.container, scene.tol.eps)
+              for body in (scene.a0, scene.a1)]
+    gaps = []
+    for pair in adjacent_pairs(csl):
+        d = 0 if csl.signs[pair.index] > 0 else 1
+        lefts = passes[d][0]
+        arc = NormalArc(pair.line.normal, pair.delta)
+        hits = sorted((k for k, t in lefts.items() if arc.contains(t, EVENT_ARC_TOL)),
+                      key=lambda k: arc.clockwise_offset(lefts[k]))
+        gaps.append(Gap(pair, d, tuple(hits)))
+    return GapTable(tuple(gaps), tuple(frozenset(inside) for _, inside in passes))
 
 
 def check_carousel_constructive(scene: Scene, csl=None,
@@ -258,9 +220,9 @@ def check_carousel_constructive(scene: Scene, csl=None,
     """Witness via the sweep pigeonhole; returns (certificate, trace).
 
     Requires s < n common supporting lines.  A gap table the caller
-    already holds for the scene is reused.  With s = 0 one support
-    function strictly dominates, so the dominated body sits inside the
-    other and any dropped vertex witnesses the rule.  Otherwise:
+    already holds for the scene is reused, else one is built.  With s = 0
+    one support function strictly dominates, so the dominated body sits
+    inside the other and any dropped vertex witnesses the rule.  Otherwise:
 
     Case 0, a crowded gap.  In a gap the dominant body D (sign from the CSL
     pass) has h_D >= h_W on the closed normal arc, W the other body.  A
@@ -292,7 +254,9 @@ def check_carousel_constructive(scene: Scene, csl=None,
     a vertex outside the pair's hull has its left event in the gap whose
     sweep passes it.  If no gap is crowded, some vertex has none, so it
     lies in the pair's hull, and, being an extreme point of G, in a body
-    A_d.  Then conv(A_d u G \\ {g_k}) = G holds the other body.
+    A_d: the table's event passes list it as inside A_d.  The first such
+    g_k drops (in A_0 before A_1), and conv(A_d u G \\ {g_k}) = G holds
+    the other body.
 
     Ties and tolerances aside the two cases always find a witness.  A
     scene where they find none, or whose witness fails its re-validation,
@@ -307,8 +271,8 @@ def check_carousel_constructive(scene: Scene, csl=None,
     s = csl.count
     if s >= scene.n:
         raise CommonLineCountTooLarge(f"s = {s} >= n = {scene.n}")
-    # without a table, event passes stop at the first crowded gap
-    gaps = table.gaps if table is not None else _gaps(scene, csl, {})
+    if table is None and s > 0:
+        table = gap_table(scene, csl)
     if s == 0:
         dominant_idx = 0 if support_difference(scene.a0, scene.a1, 0.0) > 0 else 1
         j = 0
@@ -316,12 +280,12 @@ def check_carousel_constructive(scene: Scene, csl=None,
                                   witness=(1 - dominant_idx, j),
                                   notes=("no common supporting line: dominated body "
                                          "lies inside the dominant one",))
-    elif (gap := next((g for g in gaps if len(g.lefts) >= 2), None)) is not None:
+    elif (gap := next((g for g in table.gaps if len(g.lefts) >= 2), None)) is not None:
         pair, dominant_idx, j = gap.pair, gap.dominant, gap.lefts[-1]
         trace = ConstructiveTrace(pair.index, pair.line.normal, pair.cw_next.normal,
                                   pair.delta, dominant_idx, 0, (1 - dominant_idx, j))
-    elif (found := _vertex_in_body(scene)) is not None:
-        dominant_idx, j = found
+    elif (j := min(table.inside[0] | table.inside[1], default=None)) is not None:
+        dominant_idx = 0 if j in table.inside[0] else 1
         trace = ConstructiveTrace(dominant=dominant_idx, case=1,
                                   witness=(1 - dominant_idx, j),
                                   notes=(f"no crowded gap: container vertex {j} "
@@ -388,11 +352,12 @@ def sweep_partition_ok(scene: Scene, table: GapTable) -> bool:
     """Each gap's left sweep passes the vertices of its left events and
     otherwise only vertices in a body; the sweeps pass every vertex."""
     exits = {}  # each line's exit ends one sweep and starts the next
+    inside = table.inside[0] | table.inside[1]
     covered = set()
     for gap in table.gaps:
         swept = set(sweep(gap.pair.line, gap.pair.cw_next, scene.container,
                           scene.tol.eps, exits).covered)
-        if swept != set(gap.lefts) | (swept & table.inside):
+        if swept != set(gap.lefts) | (swept & inside):
             return False
         covered |= swept
     return covered == set(range(scene.n))

@@ -13,13 +13,17 @@ travelled with the body on its left, leaves the container at one point.
 Following that exit while the line turns clockwise between two adjacent
 common supporting lines traces a clockwise boundary segment, the sweep;
 the sweeps of consecutive pairs tile the container boundary.
+
+Vertex events: a container vertex outside a body is the left exit of
+exactly one of the body's supporting lines, the left tangent from the
+vertex; its normal is the vertex's left event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +50,9 @@ from .kernel import (
     Point,
     angle_of,
     as_float_point,
-    convex_hull,
+    cross,
     cw_gap,
+    dot,
     intersect_halfplanes,
     point_in_polygon,
     unit,
@@ -138,6 +143,10 @@ class SectorRegion:
 
 
 SECTOR_SAMPLES = 512  # half-plane count across a smooth arc
+EPS_FLOOR = 1e-9  # least eps of the exit's contact test and snap, and of sweep's vertex test
+CONTACT_SLACK = 10.0  # multiple of that eps a line's contact may stand outside the container
+GRAZING_DEN = 1e-12  # an edge whose normal meets the exit ray at a cosine this small binds no exit
+CHAIN_SLACK = 10.0  # eps multiple a vertex may stand outside the sector in vertices_between
 
 
 def sector_from_arc(body, arc: NormalArc) -> SectorRegion:
@@ -224,7 +233,7 @@ def boundary_exit(line: OrientedSupportLine, container: ConvexPolygon,
     """
     contact = as_float_point(line.contact0)
     fc = container.as_float()
-    if not point_in_polygon(contact, fc, max(eps, 1e-9) * 10.0):
+    if not point_in_polygon(contact, fc, max(eps, EPS_FLOOR) * CONTACT_SLACK):
         raise ContactOutsideContainer(f"contact {contact} outside container")
     d = unit(wrap_angle(line.normal + math.pi / 2))
 
@@ -236,7 +245,7 @@ def boundary_exit(line: OrientedSupportLine, container: ConvexPolygon,
         den = (float(hp.nx) * d.x + float(hp.ny) * d.y) / nl
         # grazing edges (ray essentially parallel, e.g. a line containing a
         # container edge) must not bind; the transverse edges set the exit
-        if den <= 1e-12:
+        if den <= GRAZING_DEN:
             continue
         t = -float(hp.value(contact)) / nl / den
         if t < t_best:
@@ -246,7 +255,7 @@ def boundary_exit(line: OrientedSupportLine, container: ConvexPolygon,
     t_best = max(t_best, 0.0)
     loc = Point(contact.x + t_best * d.x, contact.y + t_best * d.y)
 
-    tol = max(eps, 1e-9) * (1.0 + fc.max_coord())
+    tol = max(eps, EPS_FLOOR) * (1.0 + fc.max_coord())
     vidx = _vertex_near(fc, loc, tol)
     if vidx is not None:
         return BoundaryPoint(as_float_point(fc.vertices[vidx]), fc.cumulative_lengths()[vidx])
@@ -295,7 +304,7 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine,
         order = sorted(range(fc.n), key=lambda i: (start.param - cum[i]) % perim)
         return BoundarySweep(start, end, tuple(order), perim)
     length = (start.param - end.param) % perim
-    tol = max(eps, 1e-9) * (1.0 + perim)
+    tol = max(eps, EPS_FLOOR) * (1.0 + perim)
     hits = []
     for i in range(fc.n):
         off = (start.param - cum[i]) % perim
@@ -310,73 +319,59 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine,
 # ---------------------------------------------------------------------------
 # vertex hit events
 
-@dataclass(frozen=True)
-class VertexEvent:
-    """Supporting line through a container vertex: the turning line meets
-    the vertex at its left or right exit at this normal angle."""
-
-    vertex: int
-    normal: float
-    side: str
-
-
 def vertex_hit_events(body, container: ConvexPolygon, eps: float = EPS):
-    """All vertex events of the container around the body.
+    """The left events of the container vertices around the body.
 
-    Each vertex strictly outside the body yields one left and one right
-    event (the two tangent normals), read off the hull of the body and
-    the vertex for polygonal bodies and solved in closed form for disks
-    and ellipses.  Vertices inside or on the body are reported separately
-    as degenerate.
+    Returns ({vertex: normal}, inside).  A vertex strictly outside the body
+    has one left event: the normal of the body's supporting line through
+    the vertex whose exit, travelled with the body on the left, is that
+    vertex.  It is found by one scan of a polygonal body's vertices, and in
+    closed form for disks and ellipses.  inside lists the vertices in or on
+    the body, ascending.
     """
-    events: List[VertexEvent] = []
-    degenerate: List[int] = []
+    polygonal = is_polygonal(body)
+    lefts, inside = {}, []
     for i, v in enumerate(container.vertices):
-        if body_contains_point(body, v, eps):
-            degenerate.append(i)
-            continue
-        if is_polygonal(body):
-            pair = _tangent_normals_polygonal(body, v)
+        normal = None
+        if not body_contains_point(body, v, eps):
+            normal = _left_normal_polygonal(body, v) if polygonal else _left_normal_smooth(body, v)
+        if normal is None:
+            inside.append(i)
         else:
-            pair = _tangent_normals_smooth(body, v)
-        if pair is None:
-            degenerate.append(i)
-            continue
-        for normal, side in pair:
-            events.append(VertexEvent(i, normal, side))
-    return events, degenerate
+            lefts[i] = normal
+    return lefts, inside
 
 
-def _tangent_normals_polygonal(body, g: Point):
+def _left_normal_polygonal(body, g: Point) -> float:
+    """Outward normal of the edge a -> g of hull(body u {g}), g outside the
+    body.
+
+    The predecessor a of g on that ccw hull leaves every vertex on or left
+    of a -> g, the farthest one from g on ties; one scan finds it.  When
+    every vertex lies on a line through g (a point, or a segment on g's
+    line) the hull is the segment a g, and the normal is turned from it.
+    """
     verts = polygonal_vertices(body)
-    hull = convex_hull(list(verts) + [g])
-    try:
-        gi = hull.vertices.index(Point(g[0], g[1]))
-    except ValueError:
-        return None  # g swallowed by the hull: inside the body
-    if hull.n == 2:
-        # body is a point or collinear segment with g on its line
-        other = hull.vertices[1 - gi]
-        d = as_float_point(g) - as_float_point(other)
-        ang = angle_of(d)
-        return ((wrap_angle(ang - math.pi / 2), "L"),
-                (wrap_angle(ang + math.pi / 2), "R"))
-    prev_edge = (gi - 1) % hull.n
-    next_edge = gi
-    # hull edge arriving at g: travelled with the body on the left, so g is the
-    # left exit; edge leaving g makes it the right exit
-    return ((hull.outward_normal_angle(prev_edge), "L"),
-            (hull.outward_normal_angle(next_edge), "R"))
+    a, flat = verts[0], True
+    for v in verts[1:]:
+        turn = cross(a, g, v)
+        flat = flat and turn == 0
+        if turn < 0 or (turn == 0 and dot(v - g, v - g) > dot(a - g, a - g)):
+            a = v
+    if flat:
+        return wrap_angle(angle_of(as_float_point(g) - as_float_point(a)) - math.pi / 2)
+    d = g - a
+    return angle_of(Point(d.y, -d.x))
 
 
-def _tangent_normals_smooth(body, g: Point):
-    """Closed-form normals of the two lines through g tangent to a disk or
-    an ellipse; None when g lies inside or on it.
+def _left_normal_smooth(body, g: Point) -> Optional[float]:
+    """Closed-form normal of the left tangent from g to a disk or an
+    ellipse; None when g lies inside or on it.
 
     The affine map taking a disk or ellipse to the unit circle takes g to
-    q with |q| > 1; there the tangent normals sit at angle(q) - psi (left
-    exit; the map keeps orientation) and angle(q) + psi (right exit), with
-    psi = arccos(1/|q|), and map back through the inverse transpose.
+    q with |q| > 1; there the left tangent's normal sits at angle(q) - psi
+    (the map keeps orientation), with psi = arccos(1/|q|), and maps back
+    through the inverse transpose.
     """
     fg = as_float_point(g)
     if isinstance(body, Disk):
@@ -390,12 +385,9 @@ def _tangent_normals_smooth(body, g: Point):
     rho = math.hypot(qx, qy)
     if rho <= 1.0:
         return None
-    phi, psi = math.atan2(qy, qx), math.acos(1.0 / rho)
-    out = []
-    for m, side in ((phi - psi, "L"), (phi + psi, "R")):
-        mu, mv = math.cos(m) / a, math.sin(m) / b
-        out.append((angle_of(Point(mu * u.x - mv * u.y, mu * u.y + mv * u.x)), side))
-    return tuple(sorted(out))
+    m = math.atan2(qy, qx) - math.acos(1.0 / rho)
+    mu, mv = math.cos(m) / a, math.sin(m) / b
+    return angle_of(Point(mu * u.x - mv * u.y, mu * u.y + mv * u.x))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +414,6 @@ def vertices_between(a: int, b: int, arc: NormalArc, body,
     chain = cw_chain(b, a)
     sec = sector_from_arc(body, arc)
     fc = container.as_float()
-    if all(sec.contains_point(as_float_point(fc.vertices[i]), 10.0 * eps) for i in chain):
+    if all(sec.contains_point(as_float_point(fc.vertices[i]), CHAIN_SLACK * eps) for i in chain):
         return chain
     return cw_chain(a, b)

@@ -33,7 +33,6 @@ from carousel.rule import (
     cross_validate,
     dichotomy_holds,
     gap_table,
-    hull_pair_body,
     scene_csl,
     sweep_partition_ok,
     verify_scene,
@@ -137,7 +136,7 @@ def test_edge_collinear_common_line():
     assert rec["constructive_ok"] and rec["dichotomy_ok"] and rec["sweeps_ok"]
 
 
-def test_vertex_in_body_case_witness(monkeypatch):
+def test_vertex_in_body_case_witness():
     # A_0 touches the container vertex g_0, and no gap has left events at two
     # vertices: the crowded-gap drop alone raises on this scene, and case 1
     # drops g_0, since conv(A_0 u G minus g_0) = G holds A_1
@@ -154,9 +153,12 @@ def test_vertex_in_body_case_witness(monkeypatch):
     # g_0 is swept without a left event: the sweep check allows it because
     # it lies in a body
     assert rec["dichotomy_ok"] is True and rec["sweeps_ok"] is True
-    monkeypatch.setattr(rule, "_vertex_in_body", lambda scene: None)
+    csl = scene_csl(scene)
+    table = gap_table(scene, csl)
+    assert table.inside == (frozenset({0}), frozenset())
+    empty = dataclasses.replace(table, inside=(frozenset(), frozenset()))
     with pytest.raises(ConstructiveSearchFailed):
-        check_carousel_constructive(scene)
+        check_carousel_constructive(scene, csl, empty)
 
 
 def _assert_crowded_gap_drop(scene, witness):
@@ -217,8 +219,8 @@ def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
 
 
 def test_vertex_events_come_from_the_scene_bodies(monkeypatch):
-    # pairs with a smooth body read each gap's events off its dominant body;
-    # no hull of the two bodies is ever handed to vertex_hit_events
+    # each gap's events come off its dominant body; no hull of the two
+    # bodies is ever handed to vertex_hit_events
     seen = []
     real = rule.vertex_hit_events
 
@@ -355,14 +357,6 @@ def test_point_body_scene_end_to_end():
     assert rec["dichotomy_ok"] and rec["sweeps_ok"]
 
 
-def test_hull_pair_body_polygonal_collapses():
-    a0 = PolygonBody(ConvexPolygon((Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))))
-    a1 = PointBody(Point(2.0, 2.0))
-    hull = hull_pair_body(a0, a1)
-    assert isinstance(hull, PolygonBody)
-    assert Point(2.0, 2.0) in hull.poly.vertices
-
-
 def test_verify_scene_runs_bruteforce_once(monkeypatch):
     calls = []
     real = rule.check_carousel_bruteforce
@@ -488,8 +482,7 @@ def test_constructive_decider_makes_one_containment_test_and_no_sector_or_scan(m
 
 def test_verify_scene_builds_one_gap_table_for_every_reader(monkeypatch):
     # the decider, the dichotomy check and the sweep check share one gap
-    # table: one sector per gap, each event pass once, and no pair hull
-    # built for the sweeps
+    # table: one sector per gap, and one event pass per body
     calls = Counter()
     events = Counter()
 
@@ -505,21 +498,10 @@ def test_verify_scene_builds_one_gap_table_for_every_reader(monkeypatch):
     monkeypatch.setattr(rule, "sector_from_arc", spy("sector_from_arc", rule.sector_from_arc))
     monkeypatch.setattr(rule, "vertex_hit_events",
                         spy("vertex_hit_events", rule.vertex_hit_events, True))
-    monkeypatch.setattr(rule, "hull_pair_body", spy("hull_pair_body", rule.hull_pair_body))
-    sweep_check = rule.sweep_partition_ok
-
-    def no_hull_in_sweep_check(*args):
-        before = calls["hull_pair_body"]
-        result = sweep_check(*args)
-        assert calls["hull_pair_body"] == before
-        return result
-
-    monkeypatch.setattr(rule, "sweep_partition_ok", no_hull_in_sweep_check)
     tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
     tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
-    for scene, polygonal in ((Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1),
-                                    TRIANGLE), False),
-                             (Scene(tri0, tri1, BIG_SQUARE), True)):
+    for scene in (Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE),
+                  Scene(tri0, tri1, BIG_SQUARE)):
         s = scene_csl(scene).count
         assert 1 <= s < scene.n
         calls.clear()
@@ -528,9 +510,55 @@ def test_verify_scene_builds_one_gap_table_for_every_reader(monkeypatch):
         assert rec["error"] is None and rec["dichotomy_ok"] and rec["sweeps_ok"]
         assert calls["gap_table"] == 1
         assert calls["sector_from_arc"] == s
-        assert all(count == 1 for count in events.values())
-        assert len(events) == (1 if polygonal else 2)
-        assert calls["hull_pair_body"] == (1 if polygonal else 0)
+        assert events == Counter({id(scene.a0): 1, id(scene.a1): 1})
+
+
+def test_gap_table_scans_each_body_once_and_the_decider_builds_it_once(monkeypatch):
+    # the event passes scan each body's vertices: no convex hull is built,
+    # and each body has one pass.  Run alone, the decider builds the table
+    # once and returns the witness verify_scene's decider returns
+    from carousel import kernel
+
+    calls = Counter()
+    events = Counter()
+    reports = []
+
+    def spy(name, real, count_body=False):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            if count_body:
+                events[id(args[0])] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for module in (kernel, bodies, sectors, tangency, rule):
+        if hasattr(module, "convex_hull"):
+            monkeypatch.setattr(module, "convex_hull", spy("convex_hull", module.convex_hull))
+    monkeypatch.setattr(rule, "gap_table", spy("gap_table", rule.gap_table))
+    monkeypatch.setattr(rule, "vertex_hit_events",
+                        spy("vertex_hit_events", rule.vertex_hit_events, True))
+    real_cross = rule.cross_validate
+    monkeypatch.setattr(rule, "cross_validate",
+                        lambda *args, **kwargs: reports.append(real_cross(*args, **kwargs))
+                        or reports[-1])
+    tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
+    tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
+    for scene in (Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE),
+                  Scene(tri0, tri1, BIG_SQUARE)):
+        csl = scene_csl(scene)
+        assert 1 <= csl.count < scene.n
+        calls.clear()
+        events.clear()
+        rule.gap_table(scene, csl)
+        assert calls["convex_hull"] == 0
+        assert events == Counter({id(scene.a0): 1, id(scene.a1): 1})
+        reports.clear()
+        assert verify_scene(scene)["error"] is None and len(reports) == 1
+        calls.clear()
+        cert, trace = check_carousel_constructive(scene, csl)
+        assert calls["gap_table"] == 1
+        assert (cert, trace) == (reports[0].constructive, reports[0].trace)
+        assert cert.verdict == "holds" and trace.case == 0
 
 
 def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):
@@ -552,7 +580,7 @@ def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):
         builds[a, b] += 1
         return real_edge(a, b)
 
-    for module in (kernel, bodies, rule):
+    for module in (kernel, bodies):
         monkeypatch.setattr(module, "convex_hull", counting_hull)
     monkeypatch.setattr(bodies, "edge_halfplane", counting_edge)
     cert = check_carousel_bruteforce(scene, csl)
