@@ -14,6 +14,7 @@ machinery downstream.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -29,9 +30,9 @@ from .kernel import (
     Point,
     Scalar,
     as_float_point,
+    cap_chain,
     convex_hull,
     dot,
-    drop_one_hulls,
     edge_halfplane,
     norm,
     point_array,
@@ -467,18 +468,15 @@ def contained_in_hull(inner, outer, extra: Sequence[Point] = (),
 
 
 def drop_one_containment(inner, outer, drops: Sequence[Point], eps: float = EPS):
-    """j -> contained_in_hull(inner, outer, drops without drops[j], eps).
-
-    For a polygonal outer body the hulls come from one drop_one_hulls run
-    and share one edge-column table, so every edge's numbers are computed
-    once across all j.
-    """
+    """j -> contained_in_hull(inner, outer, drops without drops[j], eps);
+    for a polygonal outer body one _CapTable serves every j."""
     if not is_polygonal(outer):
         return lambda j: contained_in_hull(
             inner, outer, [v for k, v in enumerate(drops) if k != j], eps)
-    hulls = drop_one_hulls(polygonal_vertices(outer), drops)
-    test = _polygon_hull_test(inner, eps)
-    return lambda j: test(hulls(j))
+    drops = [Point(p[0], p[1]) for p in drops]
+    points = polygonal_vertices(outer) + drops
+    test = _CapTable(inner, eps, convex_hull(points), points)
+    return lambda j: test(drops[j])
 
 
 def _all_rational(points) -> bool:
@@ -487,93 +485,147 @@ def _all_rational(points) -> bool:
 
 def _polygon_hull_test(inner, eps):
     """hull -> ContainmentResult of inner in a convex polygon hull."""
-    if is_polygonal(inner):
-        return _VertexContainment(inner, eps)
-    return lambda hull: _smooth_in_polygon(inner, hull, eps)
+    return lambda hull: _CapTable(inner, eps, hull)()
 
 
-class _VertexContainment:
-    """Polygonal inner body against convex polygon hulls.
-
-    A vertex escapes where point_in_polygon would put it outside, at
-    tolerance 0 when the hull and the vertices are rational and eps
-    otherwise.  Each directed hull edge (a, b) gets its columns over the
-    inner vertices once and every hull with that edge reuses them: the
-    escape column, the unit-normal slack column float(hp.value(p)) / nl
-    and the edge's half-plane.  A hull gathers its columns in hull order,
-    so ties resolve to the first vertex and the first edge as in scalar
-    loops over them.
+class _CapTable:
+    """inner in a convex polygon F and in each hull of F's point set without
+    a vertex g of F.  That hull differs from F only in the triangle of g and
+    its neighbours, where its boundary is the convex chain of the points in
+    the triangle (Overmars and van Leeuwen, "Maintenance of configurations
+    in the plane", 1981).  One table holds inner's columns for F's edges and
+    then the chains'; a test reads its hull's rows, and prefix and suffix ORs
+    over F's edges leave out the two at g.  Per edge, a polygonal inner body
+    has an escape column (as point_in_polygon: tolerance 0 when the hull and
+    inner are rational, else eps) and the negated unit-normal slack column,
+    and a smooth one a support gap.  Ties go to the first vertex and edge in
+    hull order, from the least vertex.
     """
 
-    def __init__(self, inner, eps):
-        self.inner, self.eps = inner, eps
-        self.verts = polygonal_vertices(inner)
-        self.rational = _all_rational(self.verts)
-        self.p = point_array(self.verts)
-        self.pf = self.p.astype(float)
-        self.lp = np.max(np.abs(self.pf), axis=1)
-        self.columns = {}
+    def __init__(self, inner, eps, hull, points=()):
+        self.inner, self.eps, self.hull, self.points = inner, eps, hull, points
+        counts = Counter(points)  # a point listed twice stays in every hull
+        self.at = {p: k for k, p in enumerate(hull.vertices) if counts[p] == 1}
+        self.pts = [*hull.vertices, *(p for p in dict.fromkeys(points) if p not in hull.vertices)]
+        self.index = {p: i for i, p in enumerate(self.pts)}
+        self.chains, self.rows, self.tables, self.gaps = {}, {}, {}, {}
+        self.ia, self.ib = [*range(hull.n)], [*range(1, hull.n), 0]
+        self.polygonal = is_polygonal(inner)
+        if self.polygonal:
+            verts = polygonal_vertices(inner)
+            self.rational, self.p = _all_rational(verts), point_array(verts)
+            self.pf = self.p.astype(float)
+            self.lp = np.abs(self.pf).max(axis=1)
 
-    def _edge(self, a, b, tol):
-        key = (a, b, tol)
-        cols = self.columns.get(key)
-        if cols is None:
-            hp = edge_halfplane(a, b)
-            nx, ny, c = float(hp.nx), float(hp.ny), float(hp.c)
-            p, pf = self.p, self.pf
-            cr = (b.x - a.x) * (p[:, 1] - a.y) - (b.y - a.y) * (p[:, 0] - a.x)
-            if tol == 0.0:
-                out = cr < 0
-            else:
-                la, lb = (max(abs(float(q.x)), abs(float(q.y))) for q in (a, b))
-                lim = np.maximum(max(la, lb), self.lp)
-                out = cr.astype(float) < -(tol * (1.0 + lim) * math.hypot(-ny, nx))
-            slack = (pf[:, 0] * nx + pf[:, 1] * ny - c) / math.hypot(nx, ny)
-            cols = self.columns[key] = (out, slack, hp)
-        return cols
+    def _add_chains(self, ks):
+        """The chains of F's vertices ks, and their edges' rows."""
+        v, m = self.hull.vertices, self.hull.n
+        for k in ks:
+            c = self.chains[k] = cap_chain(v[k - 1], v[(k + 1) % m], self.pts[m:])
+            self.rows[k] = len(self.ia)
+            self.ia += [self.index[p] for p in c[:-1]]
+            self.ib += [self.index[p] for p in c[1:]]
+        self.tables = {}  # tables made before lack the chains' rows
 
-    def __call__(self, hull) -> ContainmentResult:
-        v = hull.vertices
-        tol = 0.0 if self.rational and _all_rational(v) else self.eps
-        if hull.n < 3:
-            worst = next((p for p in self.verts if not point_in_polygon(p, hull, tol)), None)
-            if worst is None:
-                return ContainmentResult(True, 0.0)
-            d = as_float_point(worst) - as_float_point(v[0])
-            theta = math.atan2(d.y, d.x)
+    def _table(self, tol):
+        """The rows at tol: f, the float normal and offset of edge_halfplane,
+        xy, the float start vertex, and the neg column; and each hull's
+        escapes, row k without vertex k and the last for F."""
+        if tol in self.tables:
+            return self.tables[tol]
+        m, ia, ib, q = self.hull.n, self.ia, self.ib, point_array(self.pts)
+        a, b = q[ia], q[ib]
+        d = b - a
+        nx, ny = d[:, 1:], -d[:, :1]
+        f = np.asarray(np.concatenate((nx, ny, nx * a[:, :1] + ny * a[:, 1:]), axis=1), float)
+        hyp = np.array([math.hypot(x, y) for x, y, _ in f.tolist()])
+        p, pf = self.p.T, self.pf.T
+        out = d[:, :1] * (p[1] - a[:, 1:]) - d[:, 1:] * (p[0] - a[:, :1])
+        if tol == 0.0:
+            out = out < 0
         else:
-            cols = [self._edge(a, b, tol) for a, b in zip(v, v[1:] + v[:1])]
-            bad = np.flatnonzero(np.logical_or.reduce([out for out, _, _ in cols]))
-            if not len(bad):
-                # the first minimum in (vertex, edge) order keeps the sign of a zero
-                flat = -np.stack([slack for _, slack, _ in cols], axis=1).ravel()
-                return ContainmentResult(True, float(flat[np.argmin(flat)]))
-            row = np.array([slack[bad[0]] for _, slack, _ in cols])
-            theta = cols[int(np.argmax(row))][2].normal_angle
-        n = unit(theta)
-        ev = support(self.inner, theta)
-        margin = max(float(dot(q, n)) for q in v) - ev.value
-        return ContainmentResult(False, margin, theta, ev.contact)
+            hyp2 = np.array([math.hypot(-y, x) for x, y, _ in f.tolist()])
+            lq = np.abs(np.asarray(q, float)).max(axis=1)
+            lim = np.maximum(np.maximum(lq[ia], lq[ib])[:, None], self.lp)
+            out = np.asarray(out, float) < -(tol * (1.0 + lim) * hyp2[:, None])
+        escapes = out[:m].any(axis=0)[None]
+        if self.chains:
+            none = np.zeros_like(escapes)
+            prefix = np.concatenate((none, np.logical_or.accumulate(out[:m])))  # edges before e
+            suffix = np.concatenate((np.logical_or.accumulate(out[m - 1::-1])[::-1], none))  # e on
+            kept = np.concatenate((out[1:m - 1].any(axis=0)[None], prefix[:m - 1] | suffix[2:]))
+            chains = np.logical_or.reduceat(out, [*self.rows.values()])  # in k order
+            escapes = np.concatenate((kept | chains, escapes))
+        neg = -((pf[0] * f[:, :1] + pf[1] * f[:, 1:2] - f[:, 2:]) / hyp[:, None])
+        self.tables[tol] = {"f": f, "xy": np.asarray(a, float), "neg": neg, "escapes": escapes}
+        return self.tables[tol]
+
+    def _hull_rows(self, k):
+        """The hull without F's vertex k (F for None): its vertices and rows."""
+        vs, rows = list(self.hull.vertices), [*range(self.hull.n)]
+        if k is not None:
+            if k not in self.chains:  # a polygonal inner body's table takes them all
+                self._add_chains(range(self.hull.n) if self.polygonal else [k])
+            c, lo = self.chains[k], self.rows[k]
+            vs[k:k + 1], chain = c[1:-1], [*range(lo, lo + len(c) - 1)]
+            if k:
+                rows[k - 1:k + 1] = chain
+            else:  # F's first vertex leaves; the hull starts at its chain's least
+                s, rows = vs.index(min(vs)), chain[1:] + rows[1:-1] + chain[:1]
+                vs, rows = vs[s:] + vs[:s], rows[s:] + rows[:s]
+        return vs, rows
+
+    def __call__(self, drop=None) -> ContainmentResult:
+        """The result for the hull of F's point set without drop, or for F."""
+        k = self.at.get(drop)
+        if k is not None and self.hull.n < 3:  # points on a line
+            rest = convex_hull([p for p in self.points if p != drop])
+            return _small_hull_test(self.inner, rest, self.eps)
+        vs, rows = self._hull_rows(k)
+        if len(vs) < 3:  # F itself, or the segment a triangle F leaves
+            hull = self.hull if k is None else ConvexPolygon(tuple(sorted(vs)))
+            return _small_hull_test(self.inner, hull, self.eps)
+        if not self.polygonal:
+            for r in rows:
+                if r not in self.gaps:
+                    hp = edge_halfplane(self.pts[self.ia[r]], self.pts[self.ib[r]])
+                    self.gaps[r] = hp.unit_offset - support(self.inner, hp.normal_angle).value, hp
+            gap, hp = min((self.gaps[r] for r in rows), key=lambda g: g[0])
+            scale = 1.0 + max(max(p.linf() for p in vs), origin_radius(self.inner))
+            if gap >= -self.eps * scale:
+                return ContainmentResult(True, gap)
+            return ContainmentResult(False, gap, hp.normal_angle,
+                                     support(self.inner, hp.normal_angle).contact)
+        tab = self._table(0.0 if self.rational and _all_rational(vs) else self.eps)
+        escaped = tab["escapes"][-1 if k is None else k]
+        if not escaped.any():
+            # the first minimum in (vertex, edge) order keeps the sign of a zero
+            flat = tab["neg"][rows].T.ravel()
+            return ContainmentResult(True, float(flat[flat.argmin()]))
+        e = int(tab["neg"][rows, int(escaped.argmax())].argmin())
+        theta = HalfPlane(*tab["f"][rows[e]].tolist()).normal_angle
+        return _refutation(self.inner, tab["xy"][rows], theta)
 
 
-def _smooth_in_polygon(inner, hull, eps):
-    """Smooth inner body against a polygon hull: per-edge support comparison."""
-    scale = 1.0 + max(hull.max_coord(), origin_radius(inner))
-    if hull.n >= 3:
-        worst_val = math.inf
-        worst_theta = None
-        for i in range(hull.n):
-            theta = hull.outward_normal_angle(i)
-            c = hull.edge_halfplane(i).unit_offset
-            f = c - support(inner, theta).value
-            if f < worst_val:
-                worst_val, worst_theta = f, theta
-        if worst_val >= -eps * scale:
-            return ContainmentResult(True, worst_val)
-        return ContainmentResult(False, worst_val, worst_theta,
-                                 support(inner, worst_theta).contact)
-    # hull degenerated to a point or segment; minimize the gap for a witness
-    return _contained_in_smooth_hull(inner, PolygonBody(hull), (), eps, 2048)
+def _refutation(inner, xy, theta) -> ContainmentResult:
+    """Refuted at theta, for the hull of float vertices xy in hull order."""
+    n = unit(theta)
+    ev = support(inner, theta)
+    h = xy[:, 0] * n.x + xy[:, 1] * n.y  # the first maximum keeps the sign of a zero
+    return ContainmentResult(False, float(h[h.argmax()]) - ev.value, theta, ev.contact)
+
+
+def _small_hull_test(inner, hull, eps):
+    """inner in a point or segment hull."""
+    if not is_polygonal(inner):
+        return _contained_in_smooth_hull(inner, PolygonBody(hull), (), eps, 2048)
+    v, verts = hull.vertices, polygonal_vertices(inner)
+    tol = 0.0 if _all_rational(verts) and _all_rational(v) else eps
+    worst = next((p for p in verts if not point_in_polygon(p, hull, tol)), None)
+    if worst is None:
+        return ContainmentResult(True, 0.0)
+    d = as_float_point(worst) - as_float_point(v[0])
+    return _refutation(inner, point_array(v).astype(float), math.atan2(d.y, d.x))
 
 
 BOUND_GUARD = 1e-12  # relative rounding slack of the grid bounds on the margin

@@ -18,10 +18,9 @@ and coerce their data on load.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -249,35 +248,13 @@ def edge_halfplane(a: Point, b: Point) -> HalfPlane:
     return HalfPlane(nrm.x, nrm.y, dot(nrm, a))
 
 
-def _chain(stack: list, seq, marks=()) -> dict:
+def _chain(stack: list, seq) -> None:
     """Andrew's monotone chain: push seq onto stack in place, popping every
-    top point that the next point does not leave at a strict left turn.
-
-    Returns, for each position k of seq in marks, a copy of the stack as
-    it was before seq[k]; the stack after a prefix depends on that prefix
-    only, so a run resumed from such a copy does what a fresh run would.
-    """
-    saved = {}
-    for k, p in enumerate(seq):
-        if k in marks:
-            saved[k] = stack[:]
+    top point that the next point does not leave at a strict left turn."""
+    for p in seq:
         while len(stack) >= 2 and cross(stack[-2], stack[-1], p) <= 0:
             stack.pop()
         stack.append(p)
-    return saved
-
-
-def _hull_of_chains(pts: list, lower: list, upper: list) -> ConvexPolygon:
-    """The polygon of the sorted distinct points pts from their lower and
-    upper chains."""
-    if not pts:
-        raise EmptyInput("convex_hull of no points")
-    if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        return ConvexPolygon((pts[0], pts[-1]))
-    return ConvexPolygon(tuple(hull))
 
 
 def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
@@ -287,41 +264,30 @@ def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     lexicographically smallest vertex so equal inputs give equal outputs.
     """
     pts = sorted(set(Point(p[0], p[1]) for p in points))
+    if not pts:
+        raise EmptyInput("convex_hull of no points")
     lower, upper = [], []
     _chain(lower, pts)
     _chain(upper, reversed(pts))
-    return _hull_of_chains(pts, lower, upper)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:  # one point, or points on a line: their distinct ends
+        hull = dict.fromkeys((pts[0], pts[-1]))
+    return ConvexPolygon(tuple(hull))
 
 
-def drop_one_hulls(points: Sequence[Point], drops: Sequence[Point]):
-    """j -> convex_hull(points + drops without drops[j]), from one run.
-
-    The points are sorted and chained once, keeping the lower and upper
-    stacks just before each drop; hull j resumes both from there and
-    chains the rest without drops[j].  Each hull is the one convex_hull
-    builds, by the same comparisons on the same stacks.  A drop that
-    occurs twice in the input leaves the point set, and so the hull,
-    unchanged.
-    """
-    drops = [Point(p[0], p[1]) for p in drops]
-    listed = [Point(p[0], p[1]) for p in points] + drops
-    pts = sorted(set(listed))
-    at = {p: k for k, p in enumerate(pts)}
-    counts = Counter(listed)
-    single = {at[p] for p in drops if counts[p] == 1}
-    lower, upper = [], []
-    below = _chain(lower, pts, single)
-    above = _chain(upper, pts[::-1], {len(pts) - 1 - k for k in single})
-
-    def hull(j: int) -> ConvexPolygon:
-        k = at[drops[j]]
-        if k not in single:
-            return _hull_of_chains(pts, lower, upper)
-        lo, up = below[k][:], above[len(pts) - 1 - k][:]
-        _chain(lo, pts[k + 1:])
-        _chain(up, pts[k - 1::-1] if k else ())
-        return _hull_of_chains(pts[:k] + pts[k + 1:], lo, up)
-    return hull
+def cap_chain(a: Point, b: Point, points) -> list:
+    """The hull boundary from a counterclockwise to b of a, b and those of
+    points on or right of the line ab, all in one triangle on ab: a Graham
+    scan about a (angular order, nearer first on a ray) popping as _chain."""
+    def before(p, q):
+        turn = cross(a, p, q)
+        return -1 if turn > 0 else 1 if turn < 0 else 1 if dot(p - a, p - q) > 0 else -1
+    chain = [a]
+    for p in sorted((p for p in points if cross(a, b, p) <= 0), key=cmp_to_key(before)) + [b]:
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def point_in_polygon(p: Point, poly: ConvexPolygon, eps: float = 0.0) -> bool:

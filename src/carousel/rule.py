@@ -216,11 +216,13 @@ def gap_table(scene: Scene, csl: CslLines) -> GapTable:
 
 
 def check_carousel_constructive(scene: Scene, csl=None,
-                                table: Optional[GapTable] = None):
+                                table: Optional[GapTable] = None,
+                                brute: Optional[Certificate] = None):
     """Witness via the sweep pigeonhole; returns (certificate, trace).
 
     Requires s < n common supporting lines.  A gap table the caller
-    already holds for the scene is reused, else one is built.  With s = 0
+    already holds for the scene is reused, else one is built, and so is a
+    _reusable brute-force proof at the witness.  With s = 0
     one support function strictly dominates, so the dominated body sits
     inside the other and any dropped vertex witnesses the rule.  Otherwise:
 
@@ -294,8 +296,12 @@ def check_carousel_constructive(scene: Scene, csl=None,
         raise ConstructiveSearchFailed(
             f"no crowded gap and no container vertex in a body at s = {s} < n = {scene.n}")
     eps = scene.tol.eps
-    proof = contained_in_hull(scene.body(1 - dominant_idx), scene.body(dominant_idx),
-                              scene.vertices_except(j), eps=eps * REVALIDATION_SLACK)
+    if brute is not None and (brute.i, brute.j) == (1 - dominant_idx, j) \
+            and _reusable(scene, dominant_idx, brute.proof):
+        proof = brute.proof
+    else:
+        proof = contained_in_hull(scene.body(1 - dominant_idx), scene.body(dominant_idx),
+                                  scene.vertices_except(j), eps=eps * REVALIDATION_SLACK)
     if not proof.contained and s > 0:
         raise ConstructiveSearchFailed(
             f"case {trace.case} witness {trace.witness} fails re-validation "
@@ -304,6 +310,16 @@ def check_carousel_constructive(scene: Scene, csl=None,
     verdict = "holds" if proof.contained else "degenerate"
     return (Certificate(verdict, 1 - dominant_idx, j, proof, None, reason,
                         proof.near_zero(FRAGILE_FACTOR * eps)), trace)
+
+
+def _reusable(scene: Scene, outer: int, proof: ContainmentResult) -> bool:
+    """Whether a proof at eps that the other body lies in conv(A_outer u
+    G \\ {g_j}) is that test's result at a larger eps, lo and hi included: a
+    polygonal hull of a polygonal body, or of three vertices or more (n > 3),
+    decides by tolerance only, and grid bounds that settle a proof (lo < hi)
+    settle it the same.  An eager grid proof is not reused."""
+    return proof.lo < proof.hi or is_polygonal(scene.body(outer)) and (
+        is_polygonal(scene.body(1 - outer)) or scene.n > 3)
 
 
 @dataclass(frozen=True)
@@ -322,13 +338,14 @@ def cross_validate(scene: Scene, csl=None, brute: Optional[Certificate] = None,
     the scene is reused.  The witness re-validation is the constructive
     proof itself: every constructive witness is a contained_in_hull call
     of body i in the other body plus all vertices but j, at
-    eps * REVALIDATION_SLACK, and the decider raises when it fails.
+    eps * REVALIDATION_SLACK (or brute force's equal one), and the decider
+    raises when it fails.
     """
     if csl is None:
         csl = scene_csl(scene)
     if brute is None:
         brute = check_carousel_bruteforce(scene, csl)
-    cons, trace = check_carousel_constructive(scene, csl, table)
+    cons, trace = check_carousel_constructive(scene, csl, table, brute)
     # degenerate tangency structure: agreement is vacuous
     return CrossReport(brute, cons, trace,
                        cons.verdict == "degenerate" or brute.verdict == "holds")
@@ -400,7 +417,7 @@ def verify_scene(scene: Scene) -> dict:
                 rec["dichotomy_ok"] = dichotomy_holds(scene, table)
                 rec["sweeps_ok"] = sweep_partition_ok(scene, table)
             elif s == 0:
-                cert, trace = check_carousel_constructive(scene, csl)
+                cert, trace = check_carousel_constructive(scene, csl, brute=brute)
                 rec["constructive_ok"] = cert.verdict == "holds"
                 rec["constructive_case"] = trace.case
                 rec["cross_agree"] = cert.verdict == brute.verdict

@@ -47,11 +47,11 @@ from carousel.kernel import (
     circ_dist,
     convex_hull,
     dot,
-    drop_one_hulls,
     norm,
     point_in_polygon,
     unit,
 )
+from test_kernel import drop_one_hulls
 
 F = Fraction
 
@@ -404,10 +404,13 @@ def _hull_case(rng):
 
 def _signed_zero_cases():
     """The origin lies on the edge from (-3, 6) to (1, -2), whose slack there
-    is -0.0, so its margin +0.0 comes before the -0.0 margins of (1, -2)."""
+    is -0.0, so its margin +0.0 comes before the -0.0 margins of (1, -2).
+    Listed after the hull vertex (3, -5), whose first zero margin is -0.0,
+    the origin's +0.0 on an earlier edge comes first in edge order only."""
     for num in (int, float):
-        yield ([Point(num(0), num(0)), Point(num(1), num(-2))],
-               convex_hull([Point(num(x), num(y)) for x, y in ((-3, 6), (1, -2), (3, -5), (4, 5))]))
+        hull = convex_hull([Point(num(x), num(y)) for x, y in ((-3, 6), (1, -2), (3, -5), (4, 5))])
+        for verts in (((0, 0), (1, -2)), ((3, -5), (0, 0))):
+            yield [Point(num(x), num(y)) for x, y in verts], hull
 
 
 def _oracle_polygonal_containment(inner, hull, eps):
@@ -473,6 +476,11 @@ def _drop_one_cases():
     for k in range(60):
         sc = generate_fuzz_scene(cfg, k)
         yield sc.a0, sc.a1, sc.container.vertices
+    cfg = FuzzConfig(seed=7411)  # smooth bodies in polygons' hulls
+    for k in range(120):
+        sc = generate_fuzz_scene(cfg, k)
+        if is_polygonal(sc.a0) != is_polygonal(sc.a1):
+            yield sc.a0, sc.a1, sc.container.vertices
     for num in (int, F, float):
         def poly(*xy):
             return PolygonBody(convex_hull([Point(num(x), num(y)) for x, y in xy]))
@@ -486,16 +494,59 @@ def _drop_one_cases():
         yield PointBody(Point(num(1), num(1))), PointBody(Point(num(2), num(2))), box[:1]
         yield poly((1, 1), (2, 2)), PointBody(Point(num(1), num(1))), box[::2]
         yield poly((1, 1), (2, 1)), poly((3, 1), (0, 1)), box[:3]
+        # an outer vertex stands out of G within eps, so it is a vertex of the
+        # full hull: dropping (4, 0) or (4, 4) keeps it as a chain's end
+        big = 10 ** 10 if num is int else 1
+        out = {int: 1, F: F(1, 10 ** 10), float: 1e-10}[num]
+        yield (poly(*((big * x, big * y) for x, y in ((1, 1), (3, 2), (2, 3)))),
+               PolygonBody(convex_hull([Point(num(4 * big) + out, num(2 * big)),
+                                        Point(num(big), num(big)), Point(num(2 * big), num(3 * big))])),
+               [Point(num(big * x), num(big * y)) for x, y in ((0, 0), (4, 0), (4, 4), (0, 4))])
+        # an outer vertex equal to a dropped vertex keeps that vertex
+        yield poly((1, 2), (2, 1), (3, 3)), poly((4, 0), (1, 1), (2, 3)), box
+        # outer and inner vertices on the chord of (4, 0)'s neighbours
+        yield poly((2, 2), (3, 1), (3, 2)), poly((1, 1), (3, 3), (1, 2)), box
+        yield poly((1, 1), (3, 3)), poly((2, 2), (2, 1)), box
+        # an n = 3 container: the outer segment on the chord of (0, 0)'s
+        # neighbours leaves a segment hull; inner on it, off it, or smooth
+        tri = [Point(num(x), num(y)) for x, y in ((0, 0), (4, 0), (0, 4))]
+        yield PointBody(Point(num(2), num(2))), poly((1, 3), (3, 1)), tri
+        yield poly((1, 3), (2, 2)), poly((1, 3), (3, 1)), tri
+        yield poly((1, 1), (2, 2)), poly((1, 3), (3, 1)), tri
+        yield Disk(Point(num(2), num(2)), num(1) / 4), poly((1, 3), (3, 1)), tri
+        # an inner body that stands out of the container escapes F's edges too
+        yield poly((3, 3), (5, 3), (3, 5)), poly((1, 1), (2, 1), (1, 2)), box
+        # smooth inner bodies in a polygonal outer body
+        yield Disk(Point(num(2), num(2)), num(1)), poly((1, 1), (3, 1), (3, 3)), box
+        yield (Ellipse(Point(num(2), num(1)), num(3) / 2, num(1) / 2, 0.25),
+               poly((0, 2), (2, 4), (4, 2)), box)
+
+
+def _oracle_smooth_containment(inner, hull, eps):
+    """Smooth inner body in a polygon hull by the scalar loop over its
+    edges: the reference for the support-gap column, outputs equal to the bit."""
+    if hull.n < 3:
+        return bodies._contained_in_smooth_hull(inner, PolygonBody(hull), (), eps, 2048)
+    gaps = [hull.edge_halfplane(i).unit_offset - support(inner, hull.outward_normal_angle(i)).value
+            for i in range(hull.n)]
+    i = min(range(hull.n), key=gaps.__getitem__)
+    if gaps[i] >= -eps * (1.0 + max(hull.max_coord(), origin_radius(inner))):
+        return ContainmentResult(True, gaps[i])
+    theta = hull.outward_normal_angle(i)
+    return ContainmentResult(False, gaps[i], theta, support(inner, theta).contact)
 
 
 def test_drop_one_containment_matches_per_test_oracle():
     # every (i, j) of the shared scan against a fresh hull and the scalar
-    # loops; sharpness 26..62, whose loops take seconds, against the hull only
+    # loops; sharpness 26..62, whose loops take seconds, against the fresh
+    # hull's own table
     seen = Counter()
     for a0, a1, drops in _drop_one_cases():
         drops = list(drops)
         scalar = len(drops) <= 24 or len(drops) == 64
         for inner, outer in ((a0, a1), (a1, a0)):
+            if not is_polygonal(outer):
+                continue
             hulls = drop_one_hulls(polygonal_vertices(outer), drops)
             scan = bodies.drop_one_containment(inner, outer, drops, EPS)
             for j in range(len(drops)):
@@ -503,13 +554,46 @@ def test_drop_one_containment_matches_per_test_oracle():
                 hull = hulls(j)
                 assert hull.vertices == fresh.vertices
                 assert repr(hull.vertices) == repr(fresh.vertices)
-                if not scalar:
-                    continue
                 got = scan(j)
-                assert repr(got) == repr(_oracle_polygonal_containment(inner, fresh, EPS))
+                if not scalar:
+                    assert repr(got) == repr(bodies._polygon_hull_test(inner, EPS)(fresh))
+                    seen["hull table"] += 1
+                    continue
+                if is_polygonal(inner):
+                    assert repr(got) == repr(_oracle_polygonal_containment(inner, fresh, EPS))
+                else:
+                    assert repr(got) == repr(_oracle_smooth_containment(inner, fresh, EPS))
+                    seen["smooth", min(fresh.n, 3), got.contained] += 1
                 seen["holds" if got.contained else "fails"] += 1
                 seen[min(fresh.n, 3)] += 1
     assert min(seen[key] for key in ("holds", "fails", 1, 2, 3)) > 0, seen
+    assert min(seen[key] for key in (("smooth", 2, False), ("smooth", 3, True),
+                                     ("smooth", 3, False), "hull table")) > 0, seen
+
+
+def test_cap_table_reads_each_hull_edge_in_hull_order():
+    # the rows a test reads are the directed edges of the fresh hull, from
+    # its least vertex on, and its vertices are the fresh hull's
+    seen = Counter()
+    for a0, a1, drops in _drop_one_cases():
+        for inner, outer in ((a0, a1), (a1, a0)):
+            if not is_polygonal(outer):
+                continue
+            points = polygonal_vertices(outer) + list(drops)
+            table = bodies._CapTable(inner, EPS, convex_hull(points), points)
+            for j, g in enumerate(drops):
+                k = table.at.get(g)
+                fresh = convex_hull(points[:len(points) - len(drops) + j]
+                                    + points[len(points) - len(drops) + j + 1:])
+                if table.hull.n < 3 or fresh.n < 3:
+                    continue
+                vs, rows = table._hull_rows(k)
+                v = fresh.vertices
+                assert vs == list(v)
+                assert [(table.pts[table.ia[r]], table.pts[table.ib[r]]) for r in rows] \
+                    == list(zip(v, v[1:] + v[:1]))
+                seen["first vertex" if k == 0 else "other vertex" if k else "kept"] += 1
+    assert min(seen[key] for key in ("first vertex", "other vertex", "kept")) > 0, seen
 
 
 def test_polygonal_containment_skips_scalar_kernels(monkeypatch):

@@ -129,20 +129,22 @@ def _vertex_in_body_scene():
 
 # scenes built by the library rather than by `carousel gen`
 LIBRARY_SCENES = {
-    "fallback_556_2374": lambda: generate_fuzz_scene(FuzzConfig(seed=556, kinds=("polygon",)),
-                                                     2374),
+    "crowded_gap_polygons_556_2374": lambda: generate_fuzz_scene(
+        FuzzConfig(seed=556, kinds=("polygon",)), 2374),
     "vertex_in_body_exact": _vertex_in_body_scene,
 }
 
 
 @pytest.mark.parametrize("name, gen_args", [
-    # case1_* and fallback_* name the decider paths that first pinned them
-    # polygon/ellipse: the crowded first gap drops vertex 3
-    ("case1_fuzz2026_33", ["--kind", "fuzz", "--seed", "2026", "--index", "33"]),
-    # exact mode: the crowded second gap drops vertex 4, witness (1, 4)
-    ("case1_integer2", ["--kind", "integer", "--seed", "2"]),
-    # polygon pair whose every gap lists its right events before its left ones
-    ("fallback_556_2374", None),
+    # polygon/ellipse: the crowded first gap drops vertex 3, where brute force
+    # holds, and its proof, settled by the grid bounds, is the constructive one
+    ("crowded_gap_ellipse_2026_33", ["--kind", "fuzz", "--seed", "2026", "--index", "33"]),
+    # exact mode: the first gap is empty, the crowded second drops vertex 4,
+    # witness (1, 4) where brute force holds at (0, 2)
+    ("crowded_second_gap_integer2", ["--kind", "integer", "--seed", "2"]),
+    # polygon pair: the crowded first gap drops vertex 3, where brute force
+    # holds, and its proof from the polygon table is the constructive one
+    ("crowded_gap_polygons_556_2374", None),
     # exact mode, no crowded gap: A_0 holds g_0, so case 1 drops it
     ("vertex_in_body_exact", None),
 ])
@@ -161,8 +163,9 @@ def test_constructive_path_check_goldens(tmp_path, name, gen_args):
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
-                 "sharpness6.json", "case1_fuzz2026_33.json", "case1_integer2.json",
-                 "fallback_556_2374.json", "fails_smooth_2026_151.json",
+                 "sharpness6.json", "crowded_gap_ellipse_2026_33.json",
+                 "crowded_second_gap_integer2.json", "crowded_gap_polygons_556_2374.json",
+                 "fails_smooth_2026_151.json",
                  "vertex_in_body_exact.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)

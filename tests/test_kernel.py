@@ -21,7 +21,6 @@ from carousel.kernel import (
     cross,
     cw_gap,
     dot,
-    drop_one_hulls,
     intersect_halfplanes,
     norm,
     point_in_polygon,
@@ -391,6 +390,61 @@ def test_polygon_orientation_positive_area(raw):
     h = convex_hull(pts)
     if h.n >= 3:
         assert shoelace2(h) > 0
+
+
+def _marked_chain(stack: list, seq, marks) -> dict:
+    """Andrew's monotone chain, pushing seq onto stack in place, that also
+    returns for each position k of seq in marks a copy of the stack as it
+    was before seq[k]: the stack after a prefix depends on that prefix
+    only, so a run resumed from such a copy does what a fresh run would."""
+    saved = {}
+    for k, p in enumerate(seq):
+        if k in marks:
+            saved[k] = stack[:]
+        while len(stack) >= 2 and cross(stack[-2], stack[-1], p) <= 0:
+            stack.pop()
+        stack.append(p)
+    return saved
+
+
+def _hull_of_chains(pts, lower, upper):
+    """The polygon of the sorted distinct points pts from their chains."""
+    if not pts:
+        raise EmptyInput("convex_hull of no points")
+    if len(pts) == 1:
+        return ConvexPolygon((pts[0],))
+    hull = lower[:-1] + upper[:-1]
+    return ConvexPolygon(tuple(hull) if len(hull) >= 2 else (pts[0], pts[-1]))
+
+
+def drop_one_hulls(points, drops):
+    """j -> convex_hull(points + drops without drops[j]), from one run: the
+    hull oracle of the drop-one containment tests.
+
+    The points are sorted and chained once, keeping the lower and upper
+    stacks just before each drop; hull j resumes both from there and
+    chains the rest without drops[j].  A drop that occurs twice in the
+    input leaves the point set, and so the hull, unchanged.
+    """
+    drops = [Point(p[0], p[1]) for p in drops]
+    listed = [Point(p[0], p[1]) for p in points] + drops
+    pts = sorted(set(listed))
+    at = {p: k for k, p in enumerate(pts)}
+    counts = Counter(listed)
+    single = {at[p] for p in drops if counts[p] == 1}
+    lower, upper = [], []
+    below = _marked_chain(lower, pts, single)
+    above = _marked_chain(upper, pts[::-1], {len(pts) - 1 - k for k in single})
+
+    def hull(j):
+        k = at[drops[j]]
+        if k not in single:
+            return _hull_of_chains(pts, lower, upper)
+        lo, up = below[k][:], above[len(pts) - 1 - k][:]
+        _marked_chain(lo, pts[k + 1:], ())
+        _marked_chain(up, pts[k - 1::-1] if k else (), ())
+        return _hull_of_chains(pts[:k] + pts[k + 1:], lo, up)
+    return hull
 
 
 def _fresh_or_error(points):

@@ -561,38 +561,66 @@ def test_gap_table_scans_each_body_once_and_the_decider_builds_it_once(monkeypat
         assert cert.verdict == "holds" and trace.case == 0
 
 
-def test_polygonal_scan_builds_no_hull_and_each_edge_once(monkeypatch):
+def _scan_counts(monkeypatch, n):
+    """Polygons built and monotone-chain passes of brute force on the
+    sharpness instance of n, with its refutations."""
     from carousel import kernel
     from carousel.constructions import sharpness_construct
 
-    inst = sharpness_construct(8)
+    inst = sharpness_construct(n)
     scene = Scene(PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container)
     csl = scene_csl(scene)
-    hulls = Counter()
-    builds = Counter()
-    real_hull, real_edge = kernel.convex_hull, bodies.edge_halfplane
+    counts = Counter()
+    real_init, real_chain = ConvexPolygon.__post_init__, kernel._chain
 
-    def counting_hull(points):
-        hulls["convex_hull"] += 1
-        return real_hull(points)
+    def counting_init(self):
+        counts["polygon"] += 1
+        real_init(self)
 
-    def counting_edge(a, b):
-        builds[a, b] += 1
-        return real_edge(a, b)
+    def counting_chain(*args):
+        counts["chain"] += 1
+        return real_chain(*args)
 
-    for module in (kernel, bodies):
-        monkeypatch.setattr(module, "convex_hull", counting_hull)
-    monkeypatch.setattr(bodies, "edge_halfplane", counting_edge)
+    monkeypatch.setattr(ConvexPolygon, "__post_init__", counting_init)
+    monkeypatch.setattr(kernel, "_chain", counting_chain)
     cert = check_carousel_bruteforce(scene, csl)
-    assert cert.verdict == "fails" and len(cert.refutations) == 16
-    assert hulls == Counter()
-    # one table per inner body: each directed edge of that body's hulls once
-    want = Counter()
-    for i in (0, 1):
-        edges = set()
-        for j in range(scene.n):
-            v = real_hull(list(scene.body(1 - i).poly.vertices)
-                          + scene.vertices_except(j)).vertices
-            edges.update(zip(v, v[1:] + v[:1]))
-        want.update(edges)
-    assert builds == want
+    monkeypatch.undo()
+    return counts, cert
+
+
+def test_polygonal_scan_builds_one_hull_per_body_and_none_per_test(monkeypatch):
+    # every (i, j) of the sharpness family is refuted; each body's scan
+    # builds the full hull once (one polygon, two chain passes) and reads
+    # every test from its table: no polygon and no chain pass per test
+    for n in (16, 32):
+        counts, cert = _scan_counts(monkeypatch, n)
+        assert cert.verdict == "fails" and len(cert.refutations) == 2 * n
+        assert counts == Counter(polygon=2, chain=4)
+
+
+def test_cross_validate_reuses_a_holding_brute_force_proof(monkeypatch):
+    # fuzz 2026 scenes whose constructive witness is brute force's holding
+    # (i, j): #2 a polygon pair, #33 an ellipse hull settled by its grid
+    # bounds, #70 a disk in a polygon's hull with n > 3 reuse the proof and
+    # make no containment test; #58 (n = 3, disk in a polygon's hull) and
+    # #306 (an eager grid proof) test again.  The certificate is the one
+    # the fresh test gives.
+    calls = []
+    real = rule.contained_in_hull
+    monkeypatch.setattr(rule, "contained_in_hull",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    cfg = FuzzConfig(seed=2026)
+    for k, tests in ((2, 0), (33, 0), (70, 0), (58, 1), (306, 1)):
+        scene = generate_fuzz_scene(cfg, k)
+        csl = scene_csl(scene)
+        brute = check_carousel_bruteforce(scene, csl)
+        calls.clear()
+        report = cross_validate(scene, csl, brute)
+        assert (brute.verdict, brute.i, brute.j) == ("holds", *report.trace.witness)
+        assert len(calls) == tests
+        fresh, trace = check_carousel_constructive(scene, csl)
+        assert trace == report.trace
+        assert repr(fresh) == repr(report.constructive)
+        assert fresh.fragile == report.constructive.fragile
+        assert (fresh.proof.lo, fresh.proof.hi) == (report.constructive.proof.lo,
+                                                   report.constructive.proof.hi)
