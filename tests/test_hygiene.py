@@ -5,6 +5,7 @@ identifier, attribute or imported alias of that spelling appears.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,3 +104,22 @@ def test_every_definition_has_a_caller():
                            if not any(node is o for o in own)):
                     dead.append(f"{path.name}: {label}")
     assert dead == []
+
+
+def test_every_tracer_probe_resolves():
+    # the benchmark's tracer looks each probe up by name when it installs;
+    # a probed name that leaves the package fails here, with its name
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    probes = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                  if isinstance(stmt, ast.Assign)
+                  and any(getattr(t, "id", None) == "PROBES" for t in stmt.targets))
+    missing = []
+    for _, home, attr, _ in probes:
+        scope = vars(importlib.import_module(f"carousel.{home}"))
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            scope = vars(scope[cls_name]) if cls_name in scope else {}
+        if name not in scope:
+            missing.append(f"carousel.{home}.{attr}")
+    assert probes
+    assert missing == []

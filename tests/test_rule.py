@@ -243,23 +243,29 @@ def test_vertex_events_come_from_the_scene_bodies(monkeypatch):
 
 
 def test_gap_signs_need_no_support_sampling(monkeypatch):
-    # the decider takes each gap's sign from the common-line pass, and the
-    # mixed-sign filter has nothing to sample on a polygonal pair
+    # the decider takes each gap's sign from the common-line pass.  The
+    # gap-sign test samples every pair kind: with the signs negated, every
+    # gap of a polygonal and of a smooth pair fails it
     def no_sampling(*args):
         raise AssertionError("gap sampled")
 
     monkeypatch.setattr(tangency, "support_batch", no_sampling)
     tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
     tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
-    for a0, a1 in ((tri0, tri1), (tri0, Disk(Point(1.2, 0.4), 0.6)),
-                   (Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4))):
+    disks = (Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4))
+    for a0, a1 in ((tri0, tri1), (tri0, Disk(Point(1.2, 0.4), 0.6)), disks):
         scene = Scene(a0, a1, BIG_SQUARE).validate()
         csl = scene_csl(scene)
         assert csl.count == 2
         cert, trace = check_carousel_constructive(scene, csl)
         assert cert.verdict == "holds"
         assert (trace.pair_index, trace.case, trace.dominant) == (0, 0, 1)
-    assert mixed_sign_gaps(tri0, tri1, scene_csl(Scene(tri0, tri1, BIG_SQUARE))) == []
+    monkeypatch.undo()
+    for a0, a1 in ((tri0, tri1), disks):
+        csl = scene_csl(Scene(a0, a1, BIG_SQUARE))
+        flipped = dataclasses.replace(csl, signs=tuple(-s for s in csl.signs))
+        assert mixed_sign_gaps(a0, a1, csl) == []
+        assert mixed_sign_gaps(a0, a1, flipped) == [0, 1]
 
 
 def test_cross_validate_degenerate_is_vacuous():
@@ -296,24 +302,24 @@ def test_dichotomy_and_sweeps_on_fixed_scene():
     scene = Scene(Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4), BIG_SQUARE)
     csl = scene_csl(scene)
     assert csl.count == 2
-    table = gap_table(scene, csl)
-    assert dichotomy_holds(scene, table)
-    assert sweep_partition_ok(scene, table)
+    assert dichotomy_holds(scene, csl)
+    assert sweep_partition_ok(scene, gap_table(scene, csl))
 
 
 def test_dichotomy_reads_the_gap_signs():
     # with every gap's sign negated the dominated body is named dominant,
-    # and it does not hold the other in its sector.  The sweep check still
-    # passes: each body's turning line sweeps the boundary from the exit of
-    # the gap's first common line to that of its second, so the left events
-    # of either body in a gap sit at the same vertices
+    # and it does not hold the other in its sector: the gap-sign test fails
+    # every gap.  The sweep check still passes: each body's turning line
+    # sweeps the boundary from the exit of the gap's first common line to
+    # that of its second, so the left events of either body in a gap sit at
+    # the same vertices
     scene = Scene(Disk(Point(-0.5, 0.1), 0.3), Disk(Point(0.6, -0.2), 0.4), BIG_SQUARE)
     csl = scene_csl(scene)
     flipped = dataclasses.replace(csl, signs=tuple(-s for s in csl.signs))
     table = gap_table(scene, flipped)
     assert [gap.dominant for gap in table.gaps] == [1 - gap.dominant
                                                     for gap in gap_table(scene, csl).gaps]
-    assert not dichotomy_holds(scene, table)
+    assert mixed_sign_gaps(scene.a0, scene.a1, flipped, eps=scene.tol.eps) == [0, 1]
     assert sweep_partition_ok(scene, table)
 
 
@@ -481,23 +487,33 @@ def test_constructive_decider_makes_one_containment_test_and_no_sector_or_scan(m
 
 
 def test_verify_scene_builds_one_gap_table_for_every_reader(monkeypatch):
-    # the decider, the dichotomy check and the sweep check share one gap
-    # table: one sector per gap, and one event pass per body
+    # the decider and the sweep check share one gap table, with one event
+    # pass per body.  The gap signs take one test, with one support pass
+    # per body, and no sector is built
     calls = Counter()
     events = Counter()
+    batches = Counter()
 
-    def spy(name, real, count_body=False):
+    def spy(name, real, per_body=None):
         def wrapped(*args, **kwargs):
             calls[name] += 1
-            if count_body:
-                events[id(args[0])] += 1
+            if per_body is not None:
+                per_body[id(args[0])] += 1
             return real(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(rule, "gap_table", spy("gap_table", rule.gap_table))
-    monkeypatch.setattr(rule, "sector_from_arc", spy("sector_from_arc", rule.sector_from_arc))
+    monkeypatch.setattr(rule, "mixed_sign_gaps", spy("mixed_sign_gaps", rule.mixed_sign_gaps))
+    monkeypatch.setattr(tangency, "support_batch",
+                        spy("support_batch", tangency.support_batch, batches))
+    for module in (rule, sectors, bodies):
+        if hasattr(module, "sector_from_arc"):
+            monkeypatch.setattr(module, "sector_from_arc",
+                                spy("sector_from_arc", module.sector_from_arc))
+    monkeypatch.setattr(sectors.SectorRegion, "contains_body",
+                        spy("contains_body", sectors.SectorRegion.contains_body))
     monkeypatch.setattr(rule, "vertex_hit_events",
-                        spy("vertex_hit_events", rule.vertex_hit_events, True))
+                        spy("vertex_hit_events", rule.vertex_hit_events, events))
     tri0 = PolygonBody(ConvexPolygon((Point(-1.0, 0.0), Point(0.0, -1.0), Point(0.0, 1.0))))
     tri1 = PolygonBody(ConvexPolygon((Point(1.0, -1.0), Point(2.0, 0.0), Point(1.0, 1.0))))
     for scene in (Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE),
@@ -506,11 +522,12 @@ def test_verify_scene_builds_one_gap_table_for_every_reader(monkeypatch):
         assert 1 <= s < scene.n
         calls.clear()
         events.clear()
+        batches.clear()
         rec = verify_scene(scene)
         assert rec["error"] is None and rec["dichotomy_ok"] and rec["sweeps_ok"]
-        assert calls["gap_table"] == 1
-        assert calls["sector_from_arc"] == s
-        assert events == Counter({id(scene.a0): 1, id(scene.a1): 1})
+        assert calls["gap_table"] == calls["mixed_sign_gaps"] == 1
+        assert calls["sector_from_arc"] == calls["contains_body"] == 0
+        assert events == batches == Counter({id(scene.a0): 1, id(scene.a1): 1})
 
 
 def test_gap_table_scans_each_body_once_and_the_decider_builds_it_once(monkeypatch):
