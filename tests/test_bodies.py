@@ -428,11 +428,7 @@ def _oracle_polygonal_containment(inner, hull, eps):
 def test_polygonal_containment_kernels_match_scalar_oracles():
     rng = random.Random(2026)
     seen = Counter()
-    drop_rng = random.Random(7411)  # each hull less one vertex: drop-one test hulls
-    drop_one = [(verts, convex_hull([v for k, v in enumerate(hull.vertices) if k != j]))
-                for verts, hull in (_hull_case(drop_rng) for _ in range(300))
-                for j in range(hull.n if hull.n > 1 else 0)]
-    cases = [*_signed_zero_cases(), *(_hull_case(rng) for _ in range(2000)), *drop_one]
+    cases = [*_signed_zero_cases(), *(_hull_case(rng) for _ in range(2000))]
     for verts, hull in cases:
         inner = HullBody(tuple(PointBody(v) for v in verts))
         for eps in (0.0, 1e-9, 1e-3):
@@ -451,6 +447,21 @@ def test_polygonal_containment_kernels_match_scalar_oracles():
         seen["cases"] += 1
     assert seen["cases"] >= 2000
     assert min(seen.values()) > 50, seen
+
+
+def test_polygonal_containment_shares_edge_columns_across_hulls():
+    # one test closure serves a hull and each hull less one of its
+    # vertices; each gives the fresh result
+    rng = random.Random(7411)
+    for _ in range(300):
+        verts, hull = _hull_case(rng)
+        inner = HullBody(tuple(PointBody(v) for v in verts))
+        hulls = [hull] + [convex_hull([v for k, v in enumerate(hull.vertices) if k != j])
+                          for j in range(hull.n) if hull.n > 1]
+        for eps in (0.0, 1e-9):
+            shared = bodies._polygon_hull_test(inner, eps)
+            for h in hulls:
+                assert repr(shared(h)) == repr(_oracle_polygonal_containment(inner, h, eps))
 
 
 def _drop_one_cases():
