@@ -12,7 +12,6 @@ from .bodies import (
     ContainmentResult,
     Disk,
     Ellipse,
-    HullBody,
     PointBody,
     PolygonBody,
     body_contains_point,

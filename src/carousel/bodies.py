@@ -1,14 +1,15 @@
 """Convex bodies and their support functions.
 
 A body is one of: a convex polygon (one or two vertices double as point
-and segment bodies), a disk, an ellipse, an explicit point, or the
-convex hull of other bodies (support = pointwise maximum; used for the
-hull of a body pair when at least one member is smooth).
+and segment bodies), a disk, an ellipse, or an explicit point.  A
+polygonal body's vertex list is its own hull: a strictly convex ccw
+cycle, a segment or a point.
 
 The support function h(t) = max over the body of p . (cos t, sin t)
 drives everything: supporting lines, membership of one body in the
 convex hull of another plus finitely many points, and all the tangency
-machinery downstream.
+machinery downstream.  The hull of several bodies needs no body of its
+own: its support is the pointwise maximum of theirs.
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ class PointBody:
     point: Point
 
 
-@dataclass(frozen=True)
-class HullBody:
-    """Convex hull of the member bodies; support is their maximum."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise InvalidBody("hull body needs at least one part")
-
-
 class SupportEval(NamedTuple):
     value: float
     contact: Point
@@ -99,11 +89,7 @@ class SupportEval(NamedTuple):
 
 
 def is_polygonal(body) -> bool:
-    if isinstance(body, (PolygonBody, PointBody)):
-        return True
-    if isinstance(body, HullBody):
-        return all(is_polygonal(p) for p in body.parts)
-    return False
+    return isinstance(body, (PolygonBody, PointBody))
 
 
 def polygonal_vertices(body) -> list:
@@ -111,28 +97,23 @@ def polygonal_vertices(body) -> list:
         return list(body.poly.vertices)
     if isinstance(body, PointBody):
         return [body.point]
-    if isinstance(body, HullBody):
-        out = []
-        for p in body.parts:
-            out.extend(polygonal_vertices(p))
-        return out
     raise ModeMixError("smooth body has no vertex list")
 
 
 def edge_normal_angles(body) -> tuple:
-    """Outward edge normal angles of a polygonal body's hull, in hull order,
-    computed once per body and kept on it.
+    """Outward edge normal angles of a polygon body in hull order (edges from
+    the least vertex on), computed once per body and kept on it.
 
-    A segment yields both of its normals (max(n, 2) angles); a point or a
-    body with a smooth member yields none.
+    A segment yields both of its normals; a point or a smooth body yields
+    none.
     """
     angles = body.__dict__.get("_edge_normal_angles")
     if angles is None:
-        verts = polygonal_vertices(body) if is_polygonal(body) else ()
         angles = ()
-        if len(verts) >= 2:
-            poly = convex_hull(verts)
-            angles = tuple(poly.outward_normal_angle(i) for i in range(max(poly.n, 2)))
+        if isinstance(body, PolygonBody) and body.poly.n >= 2:
+            v = body.poly.vertices
+            first = v.index(min(v))
+            angles = tuple(body.poly.outward_normal_angle(first + i) for i in range(len(v)))
         body.__dict__["_edge_normal_angles"] = angles
     return angles
 
@@ -147,8 +128,6 @@ def as_float_body(body):
     if isinstance(body, Ellipse):
         return Ellipse(as_float_point(body.center), float(body.a),
                        float(body.b), float(body.angle))
-    if isinstance(body, HullBody):
-        return HullBody(tuple(as_float_body(p) for p in body.parts))
     raise TypeError(type(body))
 
 
@@ -162,8 +141,6 @@ def origin_radius(body) -> float:
         return norm(body.center) + float(body.radius)
     if isinstance(body, Ellipse):
         return norm(body.center) + float(body.a)
-    if isinstance(body, HullBody):
-        return max(origin_radius(p) for p in body.parts)
     raise TypeError(type(body))
 
 
@@ -220,13 +197,6 @@ def support_dir(body, d: Point):
         contact = Point(cx + (a2u * u.x + b2v * v.x) / s,
                         cy + (a2u * u.y + b2v * v.y) / s)
         return float(dot(body.center, d)) + s, contact, "smooth"
-    if isinstance(body, HullBody):
-        best = None
-        for part in body.parts:
-            cand = support_dir(part, d)
-            if best is None or cand[0] > best[0]:
-                best = cand
-        return best
     raise TypeError(type(body))
 
 
@@ -256,9 +226,6 @@ def _support_cs(body):
             dv = c * v.x + s * v.y
             return x * c + y * s + math.sqrt(a2 * du * du + b2 * dv * dv)
         return ellipse
-    if isinstance(body, HullBody):
-        parts = [_support_cs(p) for p in body.parts]
-        return lambda c, s: max([h(c, s) for h in parts])
     raise TypeError(type(body))
 
 
@@ -290,8 +257,6 @@ def support_batch(body, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
         dv = cos_t * v.x + sin_t * v.y
         s = np.sqrt((float(body.a) * du) ** 2 + (float(body.b) * dv) ** 2)
         return c.x * cos_t + c.y * sin_t + s
-    if isinstance(body, HullBody):
-        return np.maximum.reduce([support_batch(p, cos_t, sin_t) for p in body.parts])
     raise TypeError(type(body))
 
 
@@ -306,16 +271,10 @@ def grid_dirs(n: int):
 
 
 def support_grid(body, n: int) -> np.ndarray:
-    """support_batch over grid_dirs(n), evaluated once per body and kept on it.
-
-    A hull's grid is the maximum of its parts' grids, as in support_batch.
-    """
+    """support_batch over grid_dirs(n), evaluated once per body and kept on it."""
     grids = body.__dict__.setdefault("_support_grids", {})
     if n not in grids:
-        if isinstance(body, HullBody):
-            h = np.maximum.reduce([support_grid(p, n) for p in body.parts])
-        else:
-            h = support_batch(body, *grid_dirs(n)[1:])
+        h = support_batch(body, *grid_dirs(n)[1:])
         h.setflags(write=False)
         grids[n] = h
     return grids[n]
@@ -460,10 +419,9 @@ def contained_in_hull(inner, outer, extra: Sequence[Point] = (),
     golden-section refinement.
     """
     extra = [Point(p[0], p[1]) for p in extra]
-    if outer is not None and is_polygonal(outer):
-        return _polygon_hull_test(inner, eps)(convex_hull(polygonal_vertices(outer) + extra))
-    if outer is None:
-        return _polygon_hull_test(inner, eps)(convex_hull(extra))
+    if outer is None or is_polygonal(outer):
+        points = extra if outer is None else polygonal_vertices(outer) + extra
+        return _CapTable(inner, eps, convex_hull(points))()
     return _contained_in_smooth_hull(inner, outer, extra, eps, GRID_THETA)
 
 
@@ -481,11 +439,6 @@ def drop_one_containment(inner, outer, drops: Sequence[Point], eps: float = EPS)
 
 def _all_rational(points) -> bool:
     return not any(isinstance(c, float) for p in points for c in p)
-
-
-def _polygon_hull_test(inner, eps):
-    """hull -> ContainmentResult of inner in a convex polygon hull."""
-    return lambda hull: _CapTable(inner, eps, hull)()
 
 
 class _CapTable:
@@ -660,9 +613,13 @@ def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
 
     @cache
     def gap():
-        h_hull_fn = support_fn(HullBody((outer, *map(PointBody, extra))))
-        h_inner_fn = support_fn(inner)
-        return lambda theta: h_hull_fn(theta) - h_inner_fn(theta)
+        h_outer, h_inner = _support_cs(outer), _support_cs(inner)
+        points = [as_float_point(p) for p in extra]
+
+        def fn(theta):  # the hull's support is the maximum of its parts'
+            c, s = math.cos(theta), math.sin(theta)
+            return max([h_outer(c, s)] + [x * c + y * s for x, y in points]) - h_inner(c, s)
+        return fn
 
     def refine():
         fval = gap()

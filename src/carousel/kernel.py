@@ -283,10 +283,7 @@ def cap_chain(a: Point, b: Point, points) -> list:
         turn = cross(a, p, q)
         return -1 if turn > 0 else 1 if turn < 0 else 1 if dot(p - a, p - q) > 0 else -1
     chain = [a]
-    for p in sorted((p for p in points if cross(a, b, p) <= 0), key=cmp_to_key(before)) + [b]:
-        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
-            chain.pop()
-        chain.append(p)
+    _chain(chain, sorted((p for p in points if cross(a, b, p) <= 0), key=cmp_to_key(before)) + [b])
     return chain
 
 

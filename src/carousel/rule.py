@@ -35,7 +35,7 @@ from .errors import (
     ModeMixError,
     SceneInvariantError,
 )
-from .kernel import EPS, EPS_ANGLE, ConvexPolygon
+from .kernel import EPS, ConvexPolygon
 from .sectors import NormalArc, sweep, vertex_hit_events
 from .tangency import (
     AdjacentPair,
@@ -52,7 +52,6 @@ from .tangency import (
 @dataclass(frozen=True)
 class Tolerances:
     eps: float = EPS
-    eps_angle: float = EPS_ANGLE
 
 
 @dataclass(frozen=True)

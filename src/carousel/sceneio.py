@@ -166,7 +166,7 @@ def scene_to_doc(scene: Scene) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": scene.mode,
-        "tolerances": {"eps": scene.tol.eps, "eps_angle": scene.tol.eps_angle},
+        "tolerances": {"eps": scene.tol.eps},
         "G": {"vertices": [_point_out(p, exact) for p in scene.container.vertices]},
         "A0": body_to_doc(scene.a0, exact),
         "A1": body_to_doc(scene.a1, exact),
@@ -186,8 +186,8 @@ def scene_from_doc(doc: dict) -> Tuple[Scene, dict]:
         tol_doc = doc.get("tolerances", {})
         if not isinstance(tol_doc, dict):
             raise DocumentError("tolerances must be an object")
-        tol = Tolerances(_finite(tol_doc.get("eps", 1e-9)),
-                         _finite(tol_doc.get("eps_angle", 1e-10)))
+        tol = Tolerances(_finite(tol_doc.get("eps", 1e-9)))
+        _finite(tol_doc.get("eps_angle", 0.0))  # older documents' key: checked, then ignored
         container = ConvexPolygon(tuple(_point_in(p, exact)
                                         for p in doc["G"]["vertices"]))
         a0 = body_from_doc(doc["A0"], exact)

@@ -183,12 +183,8 @@ def _raw_candidate_dirs(a0, a1):
         n = len(verts)
         if n == 1:
             return
-        count = n if n > 2 else 2
-        for i in range(count):
-            a, b = verts[i % n], verts[(i + 1) % n]
-            if a == b:
-                continue
-            d = b - a
+        for i in range(n):
+            d = verts[(i + 1) % n] - verts[i]
             yield Point(d.y, -d.x)
 
     cands.extend(edge_normals(v0))

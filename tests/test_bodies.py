@@ -11,7 +11,6 @@ from carousel.bodies import (
     ContainmentResult,
     Disk,
     Ellipse,
-    HullBody,
     PointBody,
     PolygonBody,
     bodies_overlap,
@@ -51,7 +50,7 @@ from carousel.kernel import (
     point_in_polygon,
     unit,
 )
-from test_kernel import drop_one_hulls
+from test_kernel import drop_one_hulls, listed_from
 
 F = Fraction
 
@@ -213,14 +212,24 @@ def test_support_lipschitz():
 
 
 def test_hull_body_is_max():
+    # a smooth hull's support is the maximum of its body's and its points'
     a = Disk(Point(-1.0, 0.0), 0.5)
-    b = Disk(Point(1.0, 0.0), 0.5)
-    hb = HullBody((a, b))
-    ts = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-    hv = support_batch(hb, np.cos(ts), np.sin(ts))
-    ha = support_batch(a, np.cos(ts), np.sin(ts))
-    hbv = support_batch(b, np.cos(ts), np.sin(ts))
-    assert np.allclose(hv, np.maximum(ha, hbv))
+    extra = [Point(1.0, 0.0), Point(0.0, 1.2)]
+    ts = np.linspace(0, 2 * math.pi, 1 << 16, endpoint=False)
+    ct, st = np.cos(ts), np.sin(ts)
+    h_hull = np.maximum.reduce([support_batch(a, ct, st)] + [p.x * ct + p.y * st for p in extra])
+    for inner, contained in ((Disk(Point(0.9, 0.0), 0.3), False),
+                             (Disk(Point(-0.2, 0.3), 0.3), True)):
+        res = contained_in_hull(inner, a, extra)
+        gaps = h_hull - support_batch(inner, ct, st)
+        assert res.contained == contained
+        # the gap is 3-Lipschitz in the angle, so no minimum hides between samples
+        assert gaps.min() - 3.0 * (ts[1] - ts[0]) <= res.margin <= gaps.min() + 1e-12
+        if not contained:
+            t = res.witness_angle
+            at_t = max([support(a, t).value] + [p.x * math.cos(t) + p.y * math.sin(t)
+                                                for p in extra]) - support(inner, t).value
+            assert math.isclose(at_t, res.margin, abs_tol=1e-12)
 
 
 def test_smooth_containment_grid():
@@ -255,8 +264,8 @@ def test_bodies_overlap():
 
 
 def _mixed_bodies(rng):
-    """Points, polygons, disks, ellipses and nested hulls; int, Fraction and
-    float coordinates."""
+    """Points, polygons, disks, ellipses, and polygons listed from a random
+    vertex; int, Fraction and float coordinates."""
     def coord():
         return rng.choice((rng.randint(-9, 9), F(rng.randint(-90, 90), rng.randint(1, 9)),
                            rng.uniform(-9.0, 9.0)))
@@ -268,8 +277,9 @@ def _mixed_bodies(rng):
     b = rng.choice((1, F(1, 2), rng.uniform(0.01, 1.0)))
     ellipse = Ellipse(Point(coord(), coord()), b + rng.choice((0, 1, F(5, 2))),
                       b, rng.uniform(-4.0, 4.0))
-    inner_hull = HullBody((ellipse, pt))
-    return [pt, poly, disk, ellipse, inner_hull, HullBody((disk, inner_hull, poly))]
+    both = convex_hull([pt.point, *poly.poly.vertices])
+    return [pt, poly, disk, ellipse,
+            *(PolygonBody(listed_from(h, rng.randrange(h.n))) for h in (poly.poly, both))]
 
 
 def test_support_fn_is_bit_identical_to_support():
@@ -303,9 +313,7 @@ def test_edge_normal_angles_are_memoized_and_equal_fresh_hulls():
     rng = random.Random(2026)
     polygonal = 0
     for _ in range(20):
-        bodies_ = _mixed_bodies(rng)
-        bodies_.append(HullBody((bodies_[0], bodies_[1])))
-        for body in bodies_:
+        for body in _mixed_bodies(rng):
             angles = edge_normal_angles(body)
             assert edge_normal_angles(body) is angles
             want = []
@@ -315,6 +323,35 @@ def test_edge_normal_angles_are_memoized_and_equal_fresh_hulls():
                 polygonal += 1
             assert list(angles) == want
     assert polygonal >= 20
+
+
+def test_edge_normal_angles_read_the_polygon_without_a_hull(monkeypatch):
+    # a polygon body's vertices are its hull: listed from any vertex, a
+    # segment in either order, or a point, its angles equal those of the
+    # rebuilt hull, and no hull is built
+    rng = random.Random(556)
+    cases = []
+    for _ in range(400):
+        num = rng.choice((int, lambda c: F(c, 7), float, lambda c: c + rng.uniform(-0.5, 0.5)))
+        hull = convex_hull([Point(num(rng.randint(-6, 6)), num(rng.randint(-6, 6)))
+                            for _ in range(rng.choice((1, 2, 3, 5, 8)))])
+        cases += [listed_from(hull, k) for k in range(hull.n)]
+    want = []
+    for poly in cases:
+        hull = convex_hull(poly.vertices)
+        want.append([hull.outward_normal_angle(i) for i in range(max(hull.n, 2))]
+                    if hull.n >= 2 else [])
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return convex_hull(*args)
+
+    monkeypatch.setattr(bodies, "convex_hull", spy)
+    for poly, angles in zip(cases, want):
+        assert list(edge_normal_angles(PolygonBody(poly))) == angles, poly
+    assert not built
+    assert min(Counter(min(p.n, 3) for p in cases).values()) > 50
 
 
 # The scalar loops that the array passes of polygonal containment replaced,
@@ -425,19 +462,29 @@ def _oracle_polygonal_containment(inner, hull, eps):
     return ContainmentResult(False, m, theta, support(inner, theta).contact)
 
 
+def _inner_forms(verts, rng):
+    """Inner bodies of the points: each point alone, and the polygon of
+    their hull listed from a random vertex."""
+    hull = convex_hull(verts)
+    return [*map(PointBody, verts), PolygonBody(listed_from(hull, rng.randrange(hull.n)))]
+
+
 def test_polygonal_containment_kernels_match_scalar_oracles():
     rng = random.Random(2026)
     seen = Counter()
-    cases = [*_signed_zero_cases(), *(_hull_case(rng) for _ in range(2000))]
-    for verts, hull in cases:
-        inner = HullBody(tuple(PointBody(v) for v in verts))
-        for eps in (0.0, 1e-9, 1e-3):
-            got = bodies._polygon_hull_test(inner, eps)(hull)
-            want = _oracle_polygonal_containment(inner, hull, eps)
-            assert repr(got) == repr(want)
-            seen["inside" if got.contained else "escaped"] += 1
-            seen["zero margin"] += got.margin == 0.0
-            seen["negative zero margin"] += repr(got.margin) == "-0.0"
+    cases = [*((verts, hull, [PolygonBody(ConvexPolygon(verts))])
+               for verts, hull in _signed_zero_cases()),
+             *((verts, hull, _inner_forms(verts, rng))
+               for verts, hull in (_hull_case(rng) for _ in range(2000)))]
+    for verts, hull, inners in cases:
+        for inner in inners:
+            for eps in (0.0, 1e-9, 1e-3):
+                got = bodies._CapTable(inner, eps, hull)()
+                want = _oracle_polygonal_containment(inner, hull, eps)
+                assert repr(got) == repr(want)
+                seen["inside" if got.contained else "escaped"] += 1
+                seen["zero margin"] += got.margin == 0.0
+                seen["negative zero margin"] += repr(got.margin) == "-0.0"
         if hull.n >= 3:
             planes = [hull.edge_halfplane(i) for i in range(hull.n)]
             for p in verts:
@@ -450,18 +497,19 @@ def test_polygonal_containment_kernels_match_scalar_oracles():
 
 
 def test_polygonal_containment_shares_edge_columns_across_hulls():
-    # one test closure serves a hull and each hull less one of its
-    # vertices; each gives the fresh result
+    # one cap table serves a hull F and each hull of F's vertices less one;
+    # each gives the scalar oracle's result on the fresh hull
     rng = random.Random(7411)
     for _ in range(300):
         verts, hull = _hull_case(rng)
-        inner = HullBody(tuple(PointBody(v) for v in verts))
-        hulls = [hull] + [convex_hull([v for k, v in enumerate(hull.vertices) if k != j])
-                          for j in range(hull.n) if hull.n > 1]
-        for eps in (0.0, 1e-9):
-            shared = bodies._polygon_hull_test(inner, eps)
-            for h in hulls:
-                assert repr(shared(h)) == repr(_oracle_polygonal_containment(inner, h, eps))
+        drops = [(v, convex_hull([u for u in hull.vertices if u != v]))
+                 for v in hull.vertices if hull.n > 1]
+        for inner in _inner_forms(verts, rng):
+            for eps in (0.0, 1e-9):
+                table = bodies._CapTable(inner, eps, hull, hull.vertices)
+                assert repr(table()) == repr(_oracle_polygonal_containment(inner, hull, eps))
+                for v, fresh in drops:
+                    assert repr(table(v)) == repr(_oracle_polygonal_containment(inner, fresh, eps))
 
 
 def _drop_one_cases():
@@ -557,7 +605,7 @@ def test_drop_one_containment_matches_per_test_oracle():
                 assert repr(hull.vertices) == repr(fresh.vertices)
                 got = scan(j)
                 if not scalar:
-                    assert repr(got) == repr(bodies._polygon_hull_test(inner, EPS)(fresh))
+                    assert repr(got) == repr(bodies._CapTable(inner, EPS, fresh)())
                     seen["hull table"] += 1
                     continue
                 if is_polygonal(inner):

@@ -248,10 +248,19 @@ def test_ellipse_hull_counterexample_fixture():
 def test_hull_polygon_of_bodies_inscribed():
     a0, a1, xs = ellipse_hull_counterexample()
     poly = hull_polygon_of_bodies(xs, 128)
-    from carousel.bodies import HullBody, support
+    from carousel.bodies import support
 
-    hull = HullBody(xs)
-    # inscribed: every polygon vertex is a boundary contact of the hull
+    # inscribed: every polygon vertex is a boundary contact of the hull,
+    # whose support is the maximum of the bodies'
     for v in poly.vertices[::16]:
         t = math.atan2(float(v.y), float(v.x))
-        assert support(hull, t).value >= float(v.x) * math.cos(t) + float(v.y) * math.sin(t) - 1e-9
+        h = max(support(x, t).value for x in xs)
+        assert h >= float(v.x) * math.cos(t) + float(v.y) * math.sin(t) - 1e-9
+    # each vertex is the contact, at a sample normal, of the first body
+    # whose support is the largest there
+    contacts = set()
+    for k in range(128):
+        evs = [support(x, 2 * math.pi * k / 128) for x in xs]
+        top = max(ev.value for ev in evs)
+        contacts.add(next(ev.contact for ev in evs if ev.value == top))
+    assert set(poly.vertices) <= contacts

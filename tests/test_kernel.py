@@ -417,6 +417,12 @@ def _hull_of_chains(pts, lower, upper):
     return ConvexPolygon(tuple(hull) if len(hull) >= 2 else (pts[0], pts[-1]))
 
 
+def listed_from(poly, k):
+    """The same polygon with its vertex cycle listed from vertex k."""
+    v = poly.vertices
+    return ConvexPolygon(v[k:] + v[:k])
+
+
 def drop_one_hulls(points, drops):
     """j -> convex_hull(points + drops without drops[j]), from one run: the
     hull oracle of the drop-one containment tests.

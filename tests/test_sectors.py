@@ -9,7 +9,6 @@ import pytest
 from carousel.bodies import (
     Disk,
     Ellipse,
-    HullBody,
     PointBody,
     PolygonBody,
     is_polygonal,
@@ -53,6 +52,7 @@ from carousel.tangency import (
     make_support_line,
     slide_turn,
 )
+from test_kernel import listed_from
 
 F = Fraction
 
@@ -204,13 +204,14 @@ def test_boundary_exit_along_an_edge_lands_on_its_end_vertex():
 def test_sweep_two_disks_in_square_matches_alpha_sampling():
     a0 = Disk(Point(-0.5, 0.0), 0.25)
     a1 = Disk(Point(0.5, 0.0), 0.25)
-    hull = HullBody((a0, a1))
     csl = common_supporting_lines(a0, a1)
     assert csl.count == 2
     pairs = adjacent_pairs(csl)
     assert all(math.isclose(p.delta, math.pi, abs_tol=1e-9) for p in pairs)
     top = max(csl.lines, key=lambda l: math.sin(l.normal))
     pair = next(p for p in pairs if p.line is top)
+    # inside the gap the dominant body's support is the pair hull's
+    dom = a0 if csl.signs[pair.index] > 0 else a1
     sw = sweep(pair.line, pair.cw_next, BIG_SQUARE)
     # brute-force alpha sampling oracle: walk the exit point and collect the
     # vertices crossed at carrier-edge changes; clockwise travel on a ccw
@@ -225,7 +226,7 @@ def test_sweep_two_disks_in_square_matches_alpha_sampling():
     steps = 10 ** 4
     for k in range(steps + 1):
         alpha = pair.delta * k / steps
-        turned = slide_turn(hull, pair.line, alpha)
+        turned = slide_turn(dom, pair.line, alpha)
         ex = boundary_exit(turned, BIG_SQUARE)
         if start_param is None:
             start_param = ex.param
@@ -298,9 +299,9 @@ def test_vertex_events_polygonal_and_smooth_agree():
 def _top_pair_witness_chain():
     """Two small disks near the bottom of the square: the top pair's gap
     turns clockwise through east, where a1 dominates, so its vertex events
-    are a1's.  Returns the pair hull, the pair, the turn angles set by the
-    first left event and the last right tangent (from the grid bisection
-    oracle), the first left event's vertex, and the chain."""
+    are a1's.  Returns a1, the pair, the turn angles set by the first left
+    event and the last right tangent (from the grid bisection oracle), the
+    first left event's vertex, and the chain."""
     a0 = Disk(Point(-0.4, -1.0), 0.3)
     a1 = Disk(Point(0.4, -1.0), 0.3)
     csl = common_supporting_lines(a0, a1)
@@ -318,16 +319,16 @@ def _top_pair_witness_chain():
     beta = pair.delta - arc.clockwise_offset(rights[last])
     start = wrap_angle(pair.line.normal - alpha)
     end = wrap_angle(pair.cw_next.normal + beta)
-    hull = HullBody((a0, a1))
+    assert csl.signs[pair.index] < 0  # a1 dominates the gap
     chain = vertices_between(first, last,
-                             NormalArc(start, cw_gap(start, end)), hull, BIG_SQUARE)
-    return hull, pair, alpha, beta, first, chain
+                             NormalArc(start, cw_gap(start, end)), a1, BIG_SQUARE)
+    return a1, pair, alpha, beta, first, chain
 
 
 def test_vertices_between_simple():
-    hull, pair, alpha, _, first, chain = _top_pair_witness_chain()
+    dom, pair, alpha, _, first, chain = _top_pair_witness_chain()
     # the first line, turned to the first left event, exits at its vertex
-    ex = boundary_exit(slide_turn(hull, pair.line, alpha), BIG_SQUARE)
+    ex = boundary_exit(slide_turn(dom, pair.line, alpha), BIG_SQUARE)
     assert ex.location == BIG_SQUARE.vertices[first]
     # the chain runs clockwise from the last right tangent's vertex to the
     # first left event's: the square's left edge
@@ -339,8 +340,8 @@ def test_clipped_sector_inside_hull_of_body_and_between_vertices():
     # the dominant body with the vertices between the turned lines
     from carousel.bodies import contained_in_hull, PointBody
 
-    hull, pair, alpha, beta, _, vb = _top_pair_witness_chain()
-    grown = expand_sector(pair.line, pair.cw_next, hull, alpha, beta)
+    dom, pair, alpha, beta, _, vb = _top_pair_witness_chain()
+    grown = expand_sector(pair.line, pair.cw_next, dom, alpha, beta)
     clipped = grown.clipped(BIG_SQUARE, 1e-9)
     assert clipped is not None
     extra = [BIG_SQUARE.vertices[i] for i in vb]
@@ -351,7 +352,7 @@ def test_clipped_sector_inside_hull_of_body_and_between_vertices():
         tot = sum(ws)
         p = Point(sum(w * v.x for w, v in zip(ws, verts)) / tot,
                   sum(w * v.y for w, v in zip(ws, verts)) / tot)
-        res = contained_in_hull(PointBody(p), hull, extra, eps=1e-6)
+        res = contained_in_hull(PointBody(p), dom, extra, eps=1e-6)
         assert res.contained, (p, res.margin)
 
 
@@ -376,16 +377,22 @@ def test_point_sector_over_arc_wider_than_halfturn():
         assert not sec.contains_point(probe, 1e-9)
 
 
-def _grid_bisection_tangents(body, g, grid=1024):
-    """Reference oracle: sign changes of g.n(t) - h(t) on a grid, bisected."""
+def _grid_bisection_tangents(parts, g, grid=1024):
+    """Reference oracle: sign changes of g.n(t) - h(t) on a grid, bisected.
+    h is the support of one body, or of the hull of a tuple of bodies: the
+    maximum of theirs, with the first maximal body's contact."""
+    parts = parts if isinstance(parts, tuple) else (parts,)
     fg = as_float_point(g)
     thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     ct, st = np.cos(thetas), np.sin(thetas)
-    vals = fg.x * ct + fg.y * st - support_batch(body, ct, st)
+    vals = fg.x * ct + fg.y * st - np.maximum.reduce([support_batch(b, ct, st) for b in parts])
+
+    def hull_support(t):
+        return max((support(b, t) for b in parts), key=lambda ev: ev.value)
 
     def f(t):
         n = unit(t)
-        return fg.x * n.x + fg.y * n.y - support(body, t).value
+        return fg.x * n.x + fg.y * n.y - hull_support(t).value
 
     roots = []
     step = TWO_PI / grid
@@ -406,7 +413,7 @@ def _grid_bisection_tangents(body, g, grid=1024):
         return None
     out = []
     for t in roots:
-        contact = support(body, t).contact
+        contact = hull_support(t).contact
         dl = unit(wrap_angle(t + math.pi / 2))
         along = (fg.x - float(contact.x)) * dl.x + (fg.y - float(contact.y)) * dl.y
         out.append((t, "L" if along > 0 else "R"))
@@ -475,7 +482,8 @@ def _random_point_bodies(count, seed=556):
     points, collinear triples, segments and points are common, with int,
     Fraction, float or jittered float coordinates.  Every third case puts
     the points on a line through g.  Even cases take the polygon of the
-    points' hull, odd ones the hull body of the raw points."""
+    points' hull; odd ones take each point alone, and that polygon listed
+    from a random vertex."""
     rng = random.Random(seed)
     numbers = (int, lambda c: Fraction(c, 3), float,
                lambda c: c + rng.uniform(-0.5, 0.5))
@@ -491,9 +499,10 @@ def _random_point_bodies(count, seed=556):
         else:
             raw = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(m)]
         pts = [Point(num(x), num(y)) for x, y in raw]
-        body = (PolygonBody(convex_hull(pts)) if k % 2 == 0
-                else HullBody(tuple(PointBody(p) for p in pts)))
-        cases.append((body, Point(num(gx), num(gy))))
+        hull = convex_hull(pts)
+        forms = ([PolygonBody(hull)] if k % 2 == 0 else
+                 [*map(PointBody, pts), PolygonBody(listed_from(hull, rng.randrange(hull.n)))])
+        cases += [(body, Point(num(gx), num(gy))) for body in forms]
     return cases
 
 
@@ -524,9 +533,9 @@ def test_dominant_body_events_match_hull_tangent_oracle():
         csl = common_supporting_lines(scene.a0, scene.a1, scene.tol.eps)
         if not (isinstance(csl, CslLines) and 1 <= csl.count < scene.n):
             continue
-        hull = HullBody((scene.a0, scene.a1))
         oracle = {v: t for v, g in enumerate(scene.container.vertices)
-                  for t, side in _grid_bisection_tangents(hull, g) or () if side == "L"}
+                  for t, side in _grid_bisection_tangents((scene.a0, scene.a1), g) or ()
+                  if side == "L"}
         events = [vertex_hit_events(b, scene.container, scene.tol.eps)[0]
                   for b in (scene.a0, scene.a1)]
         for pair in adjacent_pairs(csl):
@@ -556,7 +565,7 @@ def test_array_sector_membership_matches_halfplane_loop():
               Ellipse(Point(-0.3, 0.4), 0.9, 0.2, 1.1),
               PolygonBody(ConvexPolygon((Point(-0.5, -0.5), Point(0.6, -0.4),
                                          Point(0.3, 0.7)))),
-              HullBody((Disk(Point(-0.4, 0.0), 0.3), PointBody(Point(0.8, 0.5))))]
+              PointBody(Point(0.8, 0.5))]
     outcomes = set()
     for body in bodies:
         for _ in range(12):

@@ -9,7 +9,6 @@ from carousel import tangency
 from carousel.bodies import (
     Disk,
     Ellipse,
-    HullBody,
     PointBody,
     PolygonBody,
     is_polygonal,
@@ -39,6 +38,7 @@ from carousel.tangency import (
     slide_turn,
     support_difference,
 )
+from test_kernel import listed_from
 
 F = Fraction
 
@@ -362,9 +362,10 @@ def _oracle_zero_pattern(a0, a1, dirs, rational, eps):
 
 
 def _polygonal_pair(rng):
-    """Point, polygon and hull bodies over int, Fraction, float or mixed
-    coordinates.  The second body often takes vertices and edge midpoints of
-    the first, so zero candidates, zero gaps and tangential zeros all occur."""
+    """Point and polygon bodies, some polygons listed from a random vertex,
+    over int, Fraction, float or mixed coordinates.  The second body often
+    takes vertices and edge midpoints of the first, so zero candidates,
+    zero gaps and tangential zeros all occur."""
     def coord(kind):
         if kind == "int":
             return rng.randint(-5, 5)
@@ -378,11 +379,10 @@ def _polygonal_pair(rng):
         shape = rng.random()
         if shape < 0.15:
             return PointBody(pts[0])
+        hull = convex_hull(pts)
         if shape < 0.3:
-            half = max(1, len(pts) // 2)
-            return HullBody((PolygonBody(convex_hull(pts[:half])),
-                             PolygonBody(convex_hull(pts[half:] or pts))))
-        return PolygonBody(convex_hull(pts))
+            return PolygonBody(listed_from(hull, rng.randrange(hull.n)))
+        return PolygonBody(hull)
 
     kinds = ("int", "fraction", "float", "float")
     k0 = rng.choice(kinds)
