@@ -338,6 +338,7 @@ def _clip_cycle(x: np.ndarray, y: np.ndarray, hp: HalfPlane, eps: float):
 
     Values and tolerances are those of HalfPlane.value and contains,
     operation for operation; crossings are computed on Python numbers.
+    A cycle that hp contains whole comes back as the same arrays.
     """
     n = len(x)
     vals = hp.nx * x + hp.ny * y - hp.c
@@ -348,6 +349,8 @@ def _clip_cycle(x: np.ndarray, y: np.ndarray, hp: HalfPlane, eps: float):
         fx, fy = (x, y) if x.dtype != object else (x.astype(float), y.astype(float))
         tols = eps * (1.0 + np.maximum(np.abs(fx), np.abs(fy))) * norm(Point(hp.nx, hp.ny))
     inside = fv <= tols
+    if inside.all():
+        return x, y
     cross_at = inside != np.concatenate((inside[1:], inside[:1]))
     cross_at[n if n > 2 else n - 1:] = False
     cx, cy = np.empty(2 * n, dtype=x.dtype), np.empty(2 * n, dtype=y.dtype)
@@ -440,9 +443,11 @@ def intersect_halfplanes(seed: ConvexPolygon, planes, eps: float = 0.0) -> Optio
     edge crossings.  The polygon travels between clips as coordinate
     arrays: when _proved_ring shows that the hull is the clipped cycle
     itself, no hull is built; otherwise convex_hull runs on the cycle's
-    points.  One ConvexPolygon is built, at the end.
+    points.  A proved ring that a half-plane leaves whole is kept as it
+    is.  One ConvexPolygon is built, at the end.
     """
     x, y = _ring_arrays(seed.vertices)
+    proved = False  # the seed, and convex_hull's rings, are not known to be their own hull
     with np.errstate(all="ignore"):
         for hp in planes:
             if x.dtype != object and not all(type(v) is float for v in (hp.nx, hp.ny, hp.c)):
@@ -450,8 +455,11 @@ def intersect_halfplanes(seed: ConvexPolygon, planes, eps: float = 0.0) -> Optio
             cx, cy = _clip_cycle(x, y, hp, eps)
             if not len(cx):
                 return None
+            if proved and cx is x:
+                continue
             ring = _proved_ring(cx, cy)
-            if ring is None:
+            proved = ring is not None
+            if not proved:
                 hull = convex_hull([Point(a, b) for a, b in zip(cx.tolist(), cy.tolist())])
                 ring = _ring_arrays(hull.vertices)
             x, y = ring

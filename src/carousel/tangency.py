@@ -7,16 +7,15 @@ circle.  Lines are oriented: the same geometric line with opposite
 normals counts twice, which keeps the normal-angle map a bijection even
 for point and segment bodies.
 
-Two algorithms coexist.  Polygonal pairs enumerate the finitely many
-candidate normals (perpendiculars of cross-body vertex differences plus
-all edge normals), evaluate the difference there and on a probe inside
-every gap between consecutive candidates; between candidates the
-difference is a single sine piece, so a zero probe certifies a whole
-zero arc and the other probes give each gap's sign.  This path is
-sign-exact in rational mode and reproduces the same structure in float
-mode.  Pairs with a smooth member sample the difference on a dense grid,
-bisect sign changes, take each gap's sign from its strict samples, and
-report plateaus as arcs of infinitely many common lines.
+Two algorithms coexist.  Polygonal pairs merge the two bodies' edge
+normal fans once (rotating calipers); between consecutive merged normals
+the difference is a single sinusoid (p - q) . u of one active vertex
+pair, so its zeros, zero arcs and signs follow from the signs at the
+merged normals and the perpendiculars of p - q.  This path is sign-exact
+in rational mode and reproduces the same structure in float mode.  Pairs
+with a smooth member sample the difference on a dense grid, bisect sign
+changes, take each gap's sign from its strict samples, and report
+plateaus as arcs of infinitely many common lines.
 
 mixed_sign_gaps then tests every gap's sign, for either kind of pair.
 """
@@ -50,7 +49,6 @@ from .kernel import (
     Point,
     angle_of,
     cw_gap,
-    point_array,
     wrap_angle,
 )
 
@@ -125,7 +123,7 @@ def slide_turn(body, base: OrientedSupportLine, alpha: float) -> OrientedSupport
 
 
 # ---------------------------------------------------------------------------
-# candidate machinery for polygonal pairs
+# merged normal fan for polygonal pairs
 
 def _canon_dir_rational(d: Point) -> Point:
     """Primitive integer representative of the ray through rational d."""
@@ -137,13 +135,13 @@ def _canon_dir_rational(d: Point) -> Point:
     return Point(p // g, q // g)
 
 
+def _half(d: Point) -> int:
+    return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
+
+
 def _dir_cmp(a: Point, b: Point) -> int:
     """Exact cyclic comparison of direction rays starting at angle 0, ccw."""
-
-    def half(d: Point) -> int:
-        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
-
-    ha, hb = half(a), half(b)
+    ha, hb = _half(a), _half(b)
     if ha != hb:
         return -1 if ha < hb else 1
     c = a.x * b.y - a.y * b.x
@@ -154,132 +152,141 @@ def _dir_cmp(a: Point, b: Point) -> int:
     return 0
 
 
-def _gap_probe(u: Point, v: Point) -> Point:
-    """A direction strictly inside the ccw arc from ray u to ray v."""
-    c = u.x * v.y - u.y * v.x
-    s = u.x * v.x + u.y * v.y
-    if c > 0:
-        return Point(u.x + v.x, u.y + v.y)
-    if c < 0:
-        return Point(-(u.x + v.x), -(u.y + v.y))
-    if s < 0:  # antipodal rays: quarter turn ccw from u
-        return Point(-u.y, u.x)
-    raise ValueError("no gap between equal directions")
+def _fan(verts):
+    """Outward edge normals of a polygonal vertex cycle in ccw order from
+    the least direction, each with the vertex active just past it, and the
+    vertex active just before the first.  A point has no normals."""
+    n = len(verts)
+    if n == 1:
+        return [], verts[0]
+    fan = [(Point(b.y - a.y, -(b.x - a.x)), b) for a, b in zip(verts, verts[1:] + verts[:1])]
+    halves = [_half(u) for u, _ in fan]
+    s = next(i for i in range(n) if halves[i] == 0 and halves[i - 1] == 1)
+    return fan[s:] + fan[:s], verts[s]
 
 
-def _raw_candidate_dirs(a0, a1):
-    v0 = polygonal_vertices(a0)
-    v1 = polygonal_vertices(a1)
-    cands = []
-    for p in v0:
-        for q in v1:
-            d = p - q
-            if d.x == 0 and d.y == 0:
-                continue
-            cands.append(Point(d.y, -d.x))
-            cands.append(Point(-d.y, d.x))
-
-    def edge_normals(verts):
-        n = len(verts)
-        if n == 1:
-            return
-        for i in range(n):
-            d = verts[(i + 1) % n] - verts[i]
-            yield Point(d.y, -d.x)
-
-    cands.extend(edge_normals(v0))
-    cands.extend(edge_normals(v1))
-    return cands
-
-
-_FLOAT_MERGE_TOL = 1e-13  # rays closer than this are one candidate in float
-
-
-def _candidate_directions(a0, a1):
-    """Deduplicated candidate rays in ccw cyclic order, plus rationality."""
-    cands = _raw_candidate_dirs(a0, a1)
-    if not cands:
-        return [], True
-    rational = not any(isinstance(c, float) for d in cands for c in d)
-    if rational:
-        canon = {}
-        for d in cands:
-            cd = _canon_dir_rational(d)
-            canon[(cd.x, cd.y)] = cd
-        return sorted(canon.values(), key=cmp_to_key(_dir_cmp)), True
-    seen = []
-    withang = sorted((angle_of(d), d) for d in cands)
-    for ang, d in withang:
-        if seen and ang - seen[-1][0] <= _FLOAT_MERGE_TOL:
-            continue
-        seen.append((ang, d))
-    if len(seen) >= 2 and (TWO_PI - seen[-1][0] + seen[0][0]) <= _FLOAT_MERGE_TOL:
-        seen.pop()
-    return [d for _, d in seen], False
-
-
-def _zero_pattern(a0, a1, dirs, rational, eps):
-    """zero_at per candidate ray, gap_zero and gap_sign per gap probe, from
-    h0 - h1 at all of them in one array pass with support_dir's arithmetic."""
-    m = len(dirs)
-    probes = [_gap_probe(dirs[i], dirs[(i + 1) % m]) for i in range(m)] if m > 1 \
-        else [Point(-dirs[0].y, dirs[0].x)]
-    d = point_array(dirs + probes)
-
-    def h(body):
-        v = point_array(polygonal_vertices(body))
-        return np.max(v[:, :1] * d[:, 0] + v[:, 1:] * d[:, 1], axis=0)
-
-    dv = h(a0) - h(a1)
-    if rational:
-        zero = dv == 0
-    else:
-        scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
-        n = np.array([math.hypot(float(x), float(y)) for x, y in dirs + probes])
-        zero = np.abs(dv.astype(float)) <= eps * scale * n
-    sign = np.where(zero, 0, np.where(dv > 0, 1, -1))
-    return zero[:m].tolist(), zero[m:].tolist(), sign[m:].tolist()
+def _merged_fan(v0, v1):
+    """Both bodies' normal fans merged in one pass: [u, p_in, p, q_in, q]
+    per distinct direction u, with the active vertices of body 0 (p) and
+    body 1 (q) just before and just past u.  On the open arc from one
+    direction to the next, the active pair is that direction's (p, q)."""
+    fan0, p = _fan(v0)
+    fan1, q = _fan(v1)
+    kinks = []
+    i = j = 0
+    while i < len(fan0) or j < len(fan1):
+        if i == len(fan0):
+            c = 1
+        elif j == len(fan1):
+            c = -1
+        else:
+            c = _dir_cmp(fan0[i][0], fan1[j][0])
+        kink = [fan0[i][0] if c <= 0 else fan1[j][0], p, p, q, q]
+        if c <= 0:
+            kink[2] = p = fan0[i][1]
+            i += 1
+        if c >= 0:
+            kink[4] = q = fan1[j][1]
+            j += 1
+        kinks.append(kink)
+    return kinks
 
 
 def _csl_polygonal(a0, a1, eps: float):
-    dirs, rational = _candidate_directions(a0, a1)
-    if not dirs:
-        # both bodies are the same single point
-        return CslIdentical()
-    zero_at, gap_zero, gap_sign = _zero_pattern(a0, a1, dirs, rational, eps)
-    if all(zero_at) and all(gap_zero):
-        return CslIdentical()
+    """h0 - h1 from one merge of the two normal fans (rotating calipers).
 
-    if any(gap_zero):
-        return CslArcs(tuple(_assemble_arcs(dirs, zero_at, gap_zero)))
+    On the arc from one merged normal to the next, h0 - h1 = (p - q) . u
+    for the active pair, a single sinusoid: zero throughout when p = q,
+    else of one sign on the arc (at most half a turn) unless its two ends
+    have strictly opposite signs, when it crosses zero once, at the
+    perpendicular of p - q that the signs name.  Zeros elsewhere sit at
+    merged normals.  Each gap's sign is that of the nearest nonzero normal
+    clockwise of its line, or, between two zero normals, the arc's
+    sinusoid a quarter turn past the first.  Float mode treats a
+    difference within eps * (1 + the larger origin radius) as zero, at the
+    merged normals and for the amplitude |p - q| of a whole arc.
+    """
+    v0, v1 = polygonal_vertices(a0), polygonal_vertices(a1)
+    rational = not any(isinstance(c, float) for p in v0 + v1 for c in p)
+    tol = 0.0 if rational else eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
+    kinks = _merged_fan(v0, v1)
+    if not kinks:  # two points: their two perpendiculars, whole circle as one arc
+        d = v0[0] - v1[0]
+        if d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol:
+            return CslIdentical()
+        events = sorted([(Point(d.y, -d.x), -1), (Point(-d.y, d.x), 1)],
+                        key=cmp_to_key(lambda a, b: _dir_cmp(a[0], b[0])))
+        return _lines(a0, a1, events, rational)
 
-    # no probe is zero, so each line's clockwise gap has the strict sign of
-    # the probe just clockwise of it
+    m = len(kinks)
+    sign = []
+    for u, p_in, p, q_in, q in kinks:
+        h0 = max(p_in.x * u.x + p_in.y * u.y, p.x * u.x + p.y * u.y)
+        h1 = max(q_in.x * u.x + q_in.y * u.y, q.x * u.x + q.y * u.y)
+        dv = h0 - h1
+        if dv == 0 if rational else abs(dv) <= tol * math.hypot(u.x, u.y):
+            sign.append(0)
+        else:
+            sign.append(1 if dv > 0 else -1)
+    pairs = [k[2] - k[4] for k in kinks]
+    flat = [d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol for d in pairs]
+    if not rational:  # an arc under a quarter turn between two zero normals stays in the band
+        for k in range(m):
+            u, w = kinks[k][0], kinks[(k + 1) % m][0]
+            flat[k] |= sign[k] == sign[(k + 1) % m] == 0 and u.x * w.x + u.y * w.y > 0
+    if all(flat):
+        return CslIdentical()
+    if any(flat):
+        return CslArcs(tuple(_assemble_arcs([k[0] for k in kinks], flat, rational)))
+
+    events = []  # (ray, sign of h0 - h1 just clockwise of it), ccw
+    for k in range(m):
+        if sign[k] == 0:
+            cw = sign[k - 1]
+            if cw == 0:  # the sinusoid between two zero normals, a quarter turn past the first
+                u, d = kinks[k - 1][0], pairs[k - 1]
+                cw = 1 if u.x * d.y - u.y * d.x > 0 else -1
+            events.append((kinks[k][0], cw))
+        elif sign[k] == -sign[(k + 1) % m]:
+            d = pairs[k]
+            events.append((Point(d.y, -d.x), -1) if sign[k] < 0 else (Point(-d.y, d.x), 1))
+    if events and _dir_cmp(events[-1][0], kinks[0][0]) < 0:
+        events.insert(0, events.pop())  # the last arc's zero lies past angle 0
+    return _lines(a0, a1, events, rational)
+
+
+def _ray_angle(ray: Point, rational: bool) -> float:
+    """Normal angle of a ray, from its primitive integer representative in
+    rational mode."""
+    return angle_of(_canon_dir_rational(ray) if rational else ray)
+
+
+def _lines(a0, a1, events, rational):
+    """CslLines from the zeros in ccw order, each with its clockwise sign;
+    a zero whose two neighbouring gaps share a sign is tangential."""
     signed = []
     notes = []
-    for i in range(len(dirs)):
-        if not zero_at[i]:
-            continue
-        theta = angle_of(dirs[i])
-        signed.append((make_line(a0, a1, theta), gap_sign[i - 1]))
-        if gap_sign[i - 1] == gap_sign[i]:
+    for k, (ray, cw) in enumerate(events):
+        theta = _ray_angle(ray, rational)
+        signed.append((make_line(a0, a1, theta), cw))
+        if cw == events[(k + 1) % len(events)][1]:
             notes.append(f"tangential zero at normal {theta:.12f}")
     signed.sort(key=lambda t: t[0].normal)
     return CslLines(tuple(l for l, _ in signed), tuple(g for _, g in signed),
                     bool(notes), tuple(notes))
 
 
-def _assemble_arcs(dirs, zero_at, gap_zero):
-    """Maximal runs of zero gaps, joined across zero candidates."""
-    m = len(dirs)
+def _assemble_arcs(rays, flat, rational):
+    """Maximal runs of zero arcs of the fan, each from its first normal to
+    the normal past its last arc."""
+    m = len(rays)
     arcs = []
     for i in range(m):
-        prev_joined = gap_zero[i - 1] and zero_at[i]
-        if gap_zero[i] and not prev_joined:
+        if flat[i] and not flat[i - 1]:
             j = i
-            while gap_zero[(j + 1) % m] and zero_at[(j + 1) % m] and (j + 1) % m != i:
+            while flat[(j + 1) % m]:
                 j += 1
-            arcs.append((angle_of(dirs[i]), angle_of(dirs[(j + 1) % m])))
+            arcs.append((_ray_angle(rays[i], rational), _ray_angle(rays[(j + 1) % m], rational)))
     return arcs
 
 
@@ -457,21 +464,27 @@ def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
     support_batch pass per body, are the polygon edge normals strictly
     inside each gap, where narrow excursions peak, plus GAP_PROBES uniform
     interior normals if a body is smooth, else the gap's middle normal.
+    With no lines the whole circle is one gap, index 0, with no sign to
+    read: it fails when the difference takes both strict signs over all
+    edge normals and GAP_PROBES uniform normals.
     """
+    kinks = np.array(edge_normal_angles(a0) + edge_normal_angles(a1))
+    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     pairs = adjacent_pairs(csl)
     if not pairs:
-        return []
+        thetas = np.concatenate((grid_dirs(GAP_PROBES)[0], kinks))
+        ct, st = np.cos(thetas), np.sin(thetas)
+        deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
+        return [0] if deltas.max() > thr and deltas.min() < -thr else []
     starts = np.array([p.line.normal for p in pairs])
     widths = np.array([p.delta for p in pairs])
     steps = 2 if is_polygonal(a0) and is_polygonal(a1) else GAP_PROBES + 1
     uniform = starts[:, None] - widths[:, None] * np.arange(1, steps) / steps
-    kinks = np.array(edge_normal_angles(a0) + edge_normal_angles(a1))
     offsets = np.mod(starts - kinks[:, None], TWO_PI)  # clockwise from each gap's start
     kink, gap = np.nonzero((offsets > EPS_ANGLE) & (offsets < widths - EPS_ANGLE))
     thetas = np.concatenate((uniform.ravel(), kinks[kink]))
     owner = np.concatenate((np.repeat(np.arange(len(pairs)), steps - 1), gap))
     ct, st = np.cos(thetas), np.sin(thetas)
     deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
-    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     below = np.array(csl.signs)[owner] * deltas < -thr
     return np.unique(owner[below]).tolist()

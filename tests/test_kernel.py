@@ -339,6 +339,36 @@ def test_rational_clip_takes_the_array_path(monkeypatch):
     assert hulls == []
 
 
+def test_proved_ring_left_whole_is_not_proved_again(monkeypatch):
+    proofs = []
+    real = kernel._proved_ring
+    monkeypatch.setattr(kernel, "_proved_ring", lambda x, y: proofs.append(len(x)) or real(x, y))
+    hulls = []
+    monkeypatch.setattr(kernel, "convex_hull", lambda pts: hulls.append(pts) or convex_hull(pts))
+    rng = random.Random(556)
+    seen = Counter()
+    for _ in range(300):
+        poly = convex_hull([Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(9)])
+        t = rng.uniform(0.0, math.tau)
+        cut = HalfPlane(math.cos(t), math.sin(t), poly.max_coord() * rng.uniform(-0.3, 0.6))
+        whole = [HalfPlane(math.cos(s), math.sin(s), 10.0)
+                 for s in (rng.uniform(0.0, math.tau) for _ in range(rng.randint(1, 4)))]
+        for planes in ([cut] + whole, whole):
+            proofs.clear()
+            hulls.clear()
+            want = _outcome(_oracle_intersect, poly, planes, 0.0)
+            assert _outcome(intersect_halfplanes, poly, planes, 0.0) == want
+            if want == "None":
+                assert proofs == []
+            elif hulls:  # a hull's ring is not known to be its own hull: proved again
+                assert len(proofs) == len(planes)
+                seen["hull"] += 1
+            else:  # the seed is proved at the first plane; the planes after it keep the ring
+                assert len(proofs) == 1
+                seen["cut" if planes[0] is cut else "whole"] += 1
+    assert seen["cut"] > 100 and seen["whole"] > 100, seen
+
+
 def test_point_in_polygon_basics():
     assert point_in_polygon(Point(F(1, 2), F(1, 2)), UNIT_SQUARE)
     assert point_in_polygon(Point(F(1), F(1, 2)), UNIT_SQUARE)

@@ -218,6 +218,30 @@ def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
     assert (trace.witness, trace.case, trace.notes) == (witness, 0, ())
 
 
+@pytest.mark.parametrize("seed, index, kind, brute_ij", [
+    (1, 2372, "Disk", (0, 2)),
+    (5, 917, "Disk", (1, 1)),
+    (19, 343, "Ellipse", (1, 1)),
+])
+def test_missed_excursion_at_no_common_line_is_a_mixed_sign_gap(seed, index, kind, brute_ij):
+    # the smooth body pokes past one polygon edge over about 1e-3 rad, which
+    # the 4096-angle grid steps over: no line is found although there are
+    # two.  The whole-circle probe at the edge normals sees both signs, so
+    # the scene is degenerate instead of a constructive disagreement.
+    scene = generate_fuzz_scene(FuzzConfig(seed=seed), index)
+    assert {type(scene.a0).__name__, type(scene.a1).__name__} == {"PolygonBody", kind}
+    csl = scene_csl(scene)
+    assert isinstance(csl, CslLines) and csl.count == 0
+    assert mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps) == [0]
+    assert verify_scene(scene) == {
+        "s": 0, "csl_kind": "lines", "degenerate": True,
+        "degenerate_reason": "mixed-sign-gap", "verdict": "holds",
+        "i": brute_ij[0], "j": brute_ij[1], "fragile": False, "constructive_ok": None,
+        "constructive_case": None, "cross_agree": None, "dichotomy_ok": None,
+        "sweeps_ok": None, "error": None,
+    }
+
+
 def test_vertex_events_come_from_the_scene_bodies(monkeypatch):
     # each gap's events come off its dominant body; no hull of the two
     # bodies is ever handed to vertex_hit_events

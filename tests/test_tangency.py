@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from functools import cmp_to_key
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from carousel.constructions import (
     sharpness_construct,
 )
 from carousel.rule import Scene
-from carousel.kernel import ConvexPolygon, Point, TWO_PI, circ_dist, convex_hull, unit, wrap_angle
+from carousel.kernel import ConvexPolygon, Point, TWO_PI, angle_of, circ_dist, convex_hull, unit, wrap_angle
 from carousel.tangency import (
     CslArcs,
     CslIdentical,
@@ -334,8 +335,51 @@ def test_gap_signs_match_sampled_majority():
     assert min(seen.values()) > 100 and len(seen) == 4, seen
 
 
+def _gap_probe(u, v):
+    """A direction strictly inside the ccw arc from ray u to ray v."""
+    c = u.x * v.y - u.y * v.x
+    s = u.x * v.x + u.y * v.y
+    if c > 0:
+        return Point(u.x + v.x, u.y + v.y)
+    if c < 0:
+        return Point(-(u.x + v.x), -(u.y + v.y))
+    if s < 0:  # antipodal rays: quarter turn ccw from u
+        return Point(-u.y, u.x)
+    raise ValueError("no gap between equal directions")
+
+
+def _oracle_candidate_directions(a0, a1):
+    """Every vertex-pair perpendicular in both senses and every edge normal,
+    deduplicated in ccw order: canonical rays in rational mode, else the
+    least angle of each run of rays within 1e-13."""
+    v0, v1 = tangency.polygonal_vertices(a0), tangency.polygonal_vertices(a1)
+    cands = []
+    for p in v0:
+        for q in v1:
+            d = p - q
+            if d.x != 0 or d.y != 0:
+                cands += [Point(d.y, -d.x), Point(-d.y, d.x)]
+    for verts in (v0, v1):
+        if len(verts) > 1:
+            for a, b in zip(verts, verts[1:] + verts[:1]):
+                cands.append(Point(b.y - a.y, -(b.x - a.x)))
+    if not cands:
+        return [], True
+    if not any(isinstance(c, float) for d in cands for c in d):
+        canon = {tangency._canon_dir_rational(d) for d in cands}
+        return sorted(canon, key=cmp_to_key(tangency._dir_cmp)), True
+    seen = []
+    for ang, d in sorted((angle_of(d), d) for d in cands):
+        if not seen or ang - seen[-1][0] > 1e-13:
+            seen.append((ang, d))
+    if len(seen) >= 2 and TWO_PI - seen[-1][0] + seen[0][0] <= 1e-13:
+        seen.pop()
+    return [d for _, d in seen], False
+
+
 def _oracle_zero_pattern(a0, a1, dirs, rational, eps):
-    """The scalar loops of _csl_polygonal that the array pass replaced."""
+    """h0 - h1 at each candidate ray and at a probe inside each gap between
+    consecutive rays: zero_at per ray, gap_zero and gap_sign per gap."""
     scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
 
     def is_zero(d, value):
@@ -352,13 +396,46 @@ def _oracle_zero_pattern(a0, a1, dirs, rational, eps):
     gap_zero = []
     gap_sign = []
     for i in range(m):
-        probe = tangency._gap_probe(dirs[i], dirs[(i + 1) % m]) if m > 1 \
+        probe = _gap_probe(dirs[i], dirs[(i + 1) % m]) if m > 1 \
             else Point(-dirs[0].y, dirs[0].x)
         dv = difference(probe)
         gz = is_zero(probe, dv)
         gap_zero.append(gz)
         gap_sign.append(0 if gz else (1 if dv > 0 else -1))
     return zero_at, gap_zero, gap_sign
+
+
+def _oracle_csl_polygonal(a0, a1, eps):
+    """The candidate-ray common supporting lines: O(|V0| |V1|) rays, the
+    difference at each and in each gap between them, zero gaps joined
+    into arcs across zero rays."""
+    dirs, rational = _oracle_candidate_directions(a0, a1)
+    if not dirs:
+        return CslIdentical()
+    zero_at, gap_zero, gap_sign = _oracle_zero_pattern(a0, a1, dirs, rational, eps)
+    if all(zero_at) and all(gap_zero):
+        return CslIdentical()
+    m = len(dirs)
+    if any(gap_zero):
+        arcs = []
+        for i in range(m):
+            if gap_zero[i] and not (gap_zero[i - 1] and zero_at[i]):
+                j = i
+                while gap_zero[(j + 1) % m] and zero_at[(j + 1) % m] and (j + 1) % m != i:
+                    j += 1
+                arcs.append((angle_of(dirs[i]), angle_of(dirs[(j + 1) % m])))
+        return CslArcs(tuple(arcs))
+    signed = []
+    notes = []
+    for i in range(m):
+        if zero_at[i]:
+            theta = angle_of(dirs[i])
+            signed.append((tangency.make_line(a0, a1, theta), gap_sign[i - 1]))
+            if gap_sign[i - 1] == gap_sign[i]:
+                notes.append(f"tangential zero at normal {theta:.12f}")
+    signed.sort(key=lambda t: t[0].normal)
+    return CslLines(tuple(l for l, _ in signed), tuple(g for _, g in signed),
+                    bool(notes), tuple(notes))
 
 
 def _polygonal_pair(rng):
@@ -397,22 +474,54 @@ def _polygonal_pair(rng):
     return a0, a1
 
 
+def _band_invariants(a0, a1, res, eps):
+    """The result against h0 - h1 on 8192 uniform normals: lines within the
+    band eps * (1 + larger origin radius), arcs inside it throughout, and
+    each gap's sign that of every sample outside the band."""
+    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
+    t = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
+    delta = support_batch(a0, np.cos(t), np.sin(t)) - support_batch(a1, np.cos(t), np.sin(t))
+    if isinstance(res, CslIdentical):
+        assert np.abs(delta).max() <= thr
+    elif isinstance(res, CslArcs):
+        for start, end in res.arcs:
+            inside = np.mod(t - start, TWO_PI) <= np.mod(end - start, TWO_PI)
+            assert np.abs(delta[inside]).max(initial=0.0) <= thr * (1 + 1e-9)
+    else:
+        for line in res.lines:
+            assert abs(support_difference(a0, a1, line.normal)) <= thr
+        for pair in adjacent_pairs(res):
+            gap = np.mod(pair.line.normal - t, TWO_PI) < pair.delta
+            outside = gap & (np.abs(delta) > thr)
+            assert (np.sign(delta[outside]) == res.signs[pair.index]).all()
+
+
 def test_polygonal_zero_pattern_matches_scalar_oracle():
+    """The fan merge against the candidate-ray oracle: the same repr in
+    rational mode and in float mode at eps = 1e-9, but for a few float
+    pairs whose zero sits on a tie of nearly parallel candidate rays (the
+    oracle keeps the least angle, or the least x at angle 0, which decides
+    the sign of a zero normal).  Those, and every float pair at eps = 1e-3,
+    where near-ties make the oracle report arcs the merge sees as lines,
+    keep the band invariants."""
     rng = random.Random(7411)
     seen = Counter()
     while seen["cases"] < 2000:
         a0, a1 = _polygonal_pair(rng)
-        dirs, rational = tangency._candidate_directions(a0, a1)
+        dirs, rational = _oracle_candidate_directions(a0, a1)
         if not dirs:
             continue
         for eps in (1e-9,) if rational else (1e-9, 1e-3):
-            got = tangency._zero_pattern(a0, a1, dirs, rational, eps)
-            assert repr(got) == repr(_oracle_zero_pattern(a0, a1, dirs, rational, eps))
-            zero_at, gap_zero, gap_sign = got
-            seen["zero candidate"] += any(zero_at)
-            seen["zero gap"] += any(gap_zero)
-            seen["tangential"] += any(zero_at[i] and gap_sign[i - 1] == gap_sign[i] != 0
-                                      for i in range(len(dirs)))
+            got = tangency._csl_polygonal(a0, a1, eps)
+            if eps == 1e-9 and repr(got) != repr(_oracle_csl_polygonal(a0, a1, eps)):
+                assert not rational
+                seen["float tie"] += 1
+            if not rational:
+                _band_invariants(a0, a1, got, eps)
+            seen["zero candidate"] += not isinstance(got, CslLines) or got.count > 0
+            seen["zero gap"] += isinstance(got, CslArcs)
+            seen["tangential"] += isinstance(got, CslLines) and got.degenerate
         seen["rational" if rational else "float"] += 1
         seen["cases"] += 1
+    assert seen.pop("float tie", 0) <= 6
     assert min(seen.values()) > 50, seen
