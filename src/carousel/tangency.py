@@ -160,8 +160,7 @@ def _fan(verts):
     if n == 1:
         return [], verts[0]
     fan = [(Point(b.y - a.y, -(b.x - a.x)), b) for a, b in zip(verts, verts[1:] + verts[:1])]
-    halves = [_half(u) for u, _ in fan]
-    s = next(i for i in range(n) if halves[i] == 0 and halves[i - 1] == 1)
+    s = next(i for i in range(n) if _half(fan[i][0]) < _half(fan[i - 1][0]))
     return fan[s:] + fan[:s], verts[s]
 
 
@@ -175,12 +174,7 @@ def _merged_fan(v0, v1):
     kinks = []
     i = j = 0
     while i < len(fan0) or j < len(fan1):
-        if i == len(fan0):
-            c = 1
-        elif j == len(fan1):
-            c = -1
-        else:
-            c = _dir_cmp(fan0[i][0], fan1[j][0])
+        c = 1 if i == len(fan0) else -1 if j == len(fan1) else _dir_cmp(fan0[i][0], fan1[j][0])
         kink = [fan0[i][0] if c <= 0 else fan1[j][0], p, p, q, q]
         if c <= 0:
             kink[2] = p = fan0[i][1]
@@ -221,13 +215,10 @@ def _csl_polygonal(a0, a1, eps: float):
     m = len(kinks)
     sign = []
     for u, p_in, p, q_in, q in kinks:
-        h0 = max(p_in.x * u.x + p_in.y * u.y, p.x * u.x + p.y * u.y)
-        h1 = max(q_in.x * u.x + q_in.y * u.y, q.x * u.x + q.y * u.y)
-        dv = h0 - h1
-        if dv == 0 if rational else abs(dv) <= tol * math.hypot(u.x, u.y):
-            sign.append(0)
-        else:
-            sign.append(1 if dv > 0 else -1)
+        dv = max(p_in.x * u.x + p_in.y * u.y, p.x * u.x + p.y * u.y) \
+            - max(q_in.x * u.x + q_in.y * u.y, q.x * u.x + q.y * u.y)
+        zero = dv == 0 if rational else abs(dv) <= tol * math.hypot(u.x, u.y)
+        sign.append(0 if zero else 1 if dv > 0 else -1)
     pairs = [k[2] - k[4] for k in kinks]
     flat = [d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol for d in pairs]
     if not rational:  # an arc under a quarter turn between two zero normals stays in the band
