@@ -136,7 +136,7 @@ def test_exact_mode_matches_float_mode():
 
 
 def test_root_completeness_random_polygon_pairs():
-    # exact candidate enumeration against a brute-force scan of the support
+    # the exact fan merge against a brute-force scan of the support
     # difference over a million angles followed by bisection refinement
     rng = random.Random(8)
     from carousel.kernel import convex_hull
