@@ -148,9 +148,9 @@ class ConvexPolygon:
     """Counterclockwise strictly convex vertex cycle.
 
     One vertex is a point, two are a segment; three or more must make
-    exclusively left turns (no duplicates, no three collinear).  The float
-    twin, the edge half-planes, the perimeter and the cumulative lengths
-    are computed once per polygon and kept on it.
+    exclusively left turns (no duplicates, no three collinear) and wind
+    around once.  The float twin, the edge half-planes, the perimeter and
+    the cumulative lengths are computed once per polygon and kept on it.
     """
 
     vertices: tuple
@@ -170,6 +170,11 @@ class ConvexPolygon:
             for i in range(n):
                 if cross(v[i], v[(i + 1) % n], v[(i + 2) % n]) <= 0:
                     raise InvalidPolygon("vertices not strictly convex ccw")
+            # the outward edge normals turn left throughout; going around once,
+            # they cross from the lower to the upper half-plane exactly once
+            up = [b.x < a.x or (b.x == a.x and b.y > a.y) for a, b in zip(v, v[1:] + v[:1])]
+            if sum(u and not up[i - 1] for i, u in enumerate(up)) != 1:
+                raise InvalidPolygon("vertices wind around more than once")
 
     @property
     def n(self) -> int:
@@ -338,7 +343,6 @@ def _clip_cycle(x: np.ndarray, y: np.ndarray, hp: HalfPlane, eps: float):
 
     Values and tolerances are those of HalfPlane.value and contains,
     operation for operation; crossings are computed on Python numbers.
-    A cycle that hp contains whole comes back as the same arrays.
     """
     n = len(x)
     vals = hp.nx * x + hp.ny * y - hp.c
@@ -349,8 +353,6 @@ def _clip_cycle(x: np.ndarray, y: np.ndarray, hp: HalfPlane, eps: float):
         fx, fy = (x, y) if x.dtype != object else (x.astype(float), y.astype(float))
         tols = eps * (1.0 + np.maximum(np.abs(fx), np.abs(fy))) * norm(Point(hp.nx, hp.ny))
     inside = fv <= tols
-    if inside.all():
-        return x, y
     cross_at = inside != np.concatenate((inside[1:], inside[:1]))
     cross_at[n if n > 2 else n - 1:] = False
     cx, cy = np.empty(2 * n, dtype=x.dtype), np.empty(2 * n, dtype=y.dtype)
@@ -443,11 +445,9 @@ def intersect_halfplanes(seed: ConvexPolygon, planes, eps: float = 0.0) -> Optio
     edge crossings.  The polygon travels between clips as coordinate
     arrays: when _proved_ring shows that the hull is the clipped cycle
     itself, no hull is built; otherwise convex_hull runs on the cycle's
-    points.  A proved ring that a half-plane leaves whole is kept as it
-    is.  One ConvexPolygon is built, at the end.
+    points.  One ConvexPolygon is built, at the end.
     """
     x, y = _ring_arrays(seed.vertices)
-    proved = False  # the seed, and convex_hull's rings, are not known to be their own hull
     with np.errstate(all="ignore"):
         for hp in planes:
             if x.dtype != object and not all(type(v) is float for v in (hp.nx, hp.ny, hp.c)):
@@ -455,11 +455,8 @@ def intersect_halfplanes(seed: ConvexPolygon, planes, eps: float = 0.0) -> Optio
             cx, cy = _clip_cycle(x, y, hp, eps)
             if not len(cx):
                 return None
-            if proved and cx is x:
-                continue
             ring = _proved_ring(cx, cy)
-            proved = ring is not None
-            if not proved:
+            if ring is None:
                 hull = convex_hull([Point(a, b) for a, b in zip(cx.tolist(), cy.tolist())])
                 ring = _ring_arrays(hull.vertices)
             x, y = ring

@@ -150,6 +150,17 @@ def test_non_finite_rotation_and_exact_zero_denominator_are_malformed(tmp_path):
         assert main(["check", str(path)]) == 64, k
 
 
+def test_polygon_that_winds_twice_is_rejected(tmp_path, capsys):
+    # a star pentagon turns left at every corner but goes around twice
+    doc = load_document(INTEGER_GOLDEN)
+    pentagon = [["10", "0"], ["3", "10"], ["-8", "6"], ["-8", "-6"], ["3", "-10"]]
+    doc["A0"] = {"kind": "polygon", "vertices": pentagon[0::2] + pentagon[1::2]}
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 65  # InvalidPolygon, like any malformed polygon
+    assert "wind around more than once" in capsys.readouterr().err
+
+
 def test_cmd_check_body_outside(tmp_path, capsys):
     scene = Scene(Disk(Point(0.0, 0.0), 0.2), Disk(Point(0.3, 0.0), 0.1), TRIANGLE)
     doc = scene_to_doc(scene)
