@@ -221,10 +221,11 @@ def _csl_polygonal(a0, a1, eps: float):
         sign.append(0 if zero else 1 if dv > 0 else -1)
     pairs = [k[2] - k[4] for k in kinks]
     flat = [d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol for d in pairs]
-    if not rational:  # an arc under a quarter turn between two zero normals stays in the band
-        for k in range(m):
-            u, w = kinks[k][0], kinks[(k + 1) % m][0]
-            flat[k] |= sign[k] == sign[(k + 1) % m] == 0 and u.x * w.x + u.y * w.y > 0
+    if not rational:  # an arc under a quarter turn between two zero normals, with
+        for k in range(m):  # neither peak +-(p - q) strictly inside, stays in the band
+            (u, w), d = (kinks[k][0], kinks[(k + 1) % m][0]), pairs[k]
+            flat[k] |= sign[k] == sign[(k + 1) % m] == 0 and u.x * w.x + u.y * w.y > 0 \
+                and (u.x * d.y - u.y * d.x) * (d.x * w.y - d.y * w.x) <= 0
     if all(flat):
         return CslIdentical()
     if any(flat):
@@ -456,15 +457,18 @@ def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
     inside each gap, where narrow excursions peak, plus GAP_PROBES uniform
     interior normals if a body is smooth, else the gap's middle normal.
     With no lines the whole circle is one gap, index 0, with no sign to
-    read: it fails when the difference takes both strict signs over all
-    edge normals and GAP_PROBES uniform normals.
+    read: it fails when the difference takes both strict signs over the
+    edge normals.  The sampled CSL has already seen the uniform normals,
+    and the fan merge is exact for two polygonal bodies, so only a
+    polygon's edge normals against a smooth body can find an excursion.
     """
     kinks = np.array(edge_normal_angles(a0) + edge_normal_angles(a1))
     thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     pairs = adjacent_pairs(csl)
     if not pairs:
-        thetas = np.concatenate((grid_dirs(GAP_PROBES)[0], kinks))
-        ct, st = np.cos(thetas), np.sin(thetas)
+        if not len(kinks):
+            return []
+        ct, st = np.cos(kinks), np.sin(kinks)
         deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
         return [0] if deltas.max() > thr and deltas.min() < -thr else []
     starts = np.array([p.line.normal for p in pairs])

@@ -525,3 +525,13 @@ def test_polygonal_zero_pattern_matches_scalar_oracle():
         seen["cases"] += 1
     assert seen.pop("float tie", 0) <= 6
     assert min(seen.values()) > 50, seen
+    # a triangle with edge normals at -35 and 35 degrees and its copy moved
+    # along the bisector by 1.2 times the band: both normals read 0.98 of
+    # the band, but the difference between them peaks at 1.2 of it
+    c, s = math.cos(math.radians(55.0)), math.sin(math.radians(55.0))
+    tri = ConvexPolygon((Point(1.0 - c, -s), Point(1.0, 0.0), Point(1.0 - c, s)))
+    shift = 1.2 * 2e-3 / (1.0 - 1.2e-3)  # 1.2 * 1e-3 * (1 + the moved copy's origin radius)
+    moved = ConvexPolygon(tuple(Point(v.x + shift, v.y) for v in tri.vertices))
+    got = tangency._csl_polygonal(PolygonBody(moved), PolygonBody(tri), 1e-3)
+    assert isinstance(got, CslLines) and got.count == 2
+    _band_invariants(PolygonBody(moved), PolygonBody(tri), got, 1e-3)
