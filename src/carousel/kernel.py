@@ -326,148 +326,38 @@ def point_in_polygon(p: Point, poly: ConvexPolygon, eps: float = 0.0) -> bool:
     return True
 
 
-def _ring_arrays(points):
-    """(x, y) coordinate arrays: float64 when every coordinate is a Python
-    float, else dtype=object, whose arithmetic is Python's own (unlike
-    point_array, numpy float scalars stay objects and keep their type)."""
-    floats = all(type(c) is float for p in points for c in p)
-    dt = float if floats else object
-    return (np.array([p[0] for p in points], dtype=dt),
-            np.array([p[1] for p in points], dtype=dt))
-
-
-def _clip_cycle(x: np.ndarray, y: np.ndarray, hp: HalfPlane, eps: float):
-    """The points a clip of the cycle (x, y) keeps, in cycle order: each
-    vertex inside hp and, after it, the crossing on its edge where the
-    edge leaves or enters hp.  A segment (two vertices) has one edge.
-
-    Values and tolerances are those of HalfPlane.value and contains,
-    operation for operation; crossings are computed on Python numbers.
-    """
-    n = len(x)
-    vals = hp.nx * x + hp.ny * y - hp.c
-    fv = vals.astype(float) if vals.dtype == object else vals
-    if eps == 0.0:
-        tols = 0.0
-    else:
-        fx, fy = (x, y) if x.dtype != object else (x.astype(float), y.astype(float))
-        tols = eps * (1.0 + np.maximum(np.abs(fx), np.abs(fy))) * norm(Point(hp.nx, hp.ny))
-    inside = fv <= tols
-    cross_at = inside != np.concatenate((inside[1:], inside[:1]))
-    cross_at[n if n > 2 else n - 1:] = False
-    cx, cy = np.empty(2 * n, dtype=x.dtype), np.empty(2 * n, dtype=y.dtype)
-    cx[::2], cy[::2] = x, y
-    for i in cross_at.nonzero()[0].tolist():
-        j = (i + 1) % n
-        va, vb = vals.item(i), vals.item(j)
-        d = va - vb
-        if d == 0:  # edge parallel to the line: its inside end is kept
-            cross_at[i] = False
-            continue
-        t = Fraction(va, d) if isinstance(va, int) and isinstance(vb, int) else va / d
-        ax, ay = x.item(i), y.item(i)
-        cx[2 * i + 1] = ax + t * (x.item(j) - ax)
-        cy[2 * i + 1] = ay + t * (y.item(j) - ay)
-    keep = np.empty(2 * n, dtype=bool)
-    keep[::2], keep[1::2] = inside, cross_at
-    return cx[keep], cy[keep]
-
-
-def _chain_triples(on: np.ndarray):
-    """Andrew's chain over sorted points whose survivors are exactly the
-    points flagged on (the first and last among them): the (o, a, b)
-    index triples of the cross tests it makes, split into the tests that
-    must pop (an off-chain point is dropped by its successor) and the
-    tests that must keep (two chain points stay under the next point)."""
-    chain = on.nonzero()[0]
-    t = np.arange(1, len(on))
-    before = on.cumsum()[:-1]  # chain points ahead of t
-    last = chain[before - 1]
-    off = ~on[:-1]
-    two = before >= 2
-    pops = (last[off], t[off] - 1, t[off])
-    keeps = (chain[before[two] - 2], last[two], t[two])
-    return pops, keeps
-
-
-def _proved_ring(x: np.ndarray, y: np.ndarray):
-    """convex_hull of the cycle (x, y) as arrays, when that hull is the
-    cycle itself started at its lexicographically smallest point; else
-    None.
-
-    Holds when the points are distinct, the cycle rises strictly in
-    lexicographic order to its largest point and falls strictly back,
-    the lower chain's pass over the sorted points pops exactly the
-    upper points and keeps every lower point (and the reverse for the
-    upper chain), and every corner of the ring is a strict left turn.
-    These are the cross tests that _chain and ConvexPolygon make,
-    computed with kernel.cross's operations, so a ring that passes them
-    is convex_hull's result, value for value.
-    """
-    n = len(x)
-    if n < 3:
-        return None
-    order = np.lexsort((y, x))
-    px, py = x[order], y[order]
-    if not ((px[:-1] < px[1:]) | ((px[:-1] == px[1:]) & (py[:-1] < py[1:]))).all():
-        return None
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    i0 = int(order[0])
-    ring = np.concatenate((rank[i0:], rank[:i0]))  # ranks around the cycle from its least point
-    top = int(ring.argmax())
-    step = ring[1:] - ring[:-1]
-    if not ((step[:top] > 0).all() and (step[top:] < 0).all()):
-        return None
-    lower = np.zeros(n, dtype=bool)
-    lower[ring[:top + 1]] = True
-    upper = ~lower
-    upper[0] = upper[-1] = True
-    lo_pop, lo_keep = _chain_triples(lower)
-    up_pop, up_keep = _chain_triples(upper[::-1])
-    wrap = np.concatenate((ring, ring[:2]))
-    corners = (wrap[:-2], wrap[1:-1], wrap[2:])
-    o, a, b = (np.concatenate((lo_pop[k], n - 1 - up_pop[k], lo_keep[k],
-                               n - 1 - up_keep[k], corners[k])) for k in range(3))
-    ox, oy = px[o], py[o]
-    cr = (px[a] - ox) * (py[b] - oy) - (py[a] - oy) * (px[b] - ox)
-    pops = len(lo_pop[0]) + len(up_pop[0])
-    if not ((cr[:pops] <= 0).all() and (cr[pops:] > 0).all()):
-        return None
-    return px[ring], py[ring]
-
-
 def intersect_halfplanes(seed: ConvexPolygon, planes, eps: float = 0.0) -> Optional[ConvexPolygon]:
-    """Clip a polygon by a sequence of half-planes; None when emptied.
-
-    A single point or segment intersection comes back as a degenerate
-    polygon.  Each clip is the convex hull of the kept vertices and the
-    edge crossings.  The polygon travels between clips as coordinate
-    arrays: when _proved_ring shows that the hull is the clipped cycle
-    itself, no hull is built; otherwise convex_hull runs on the cycle's
-    points.  One ConvexPolygon is built, at the end.
-    """
-    x, y = _ring_arrays(seed.vertices)
-    with np.errstate(all="ignore"):
-        for hp in planes:
-            if x.dtype != object and not all(type(v) is float for v in (hp.nx, hp.ny, hp.c)):
-                x, y = x.astype(object), y.astype(object)
-            cx, cy = _clip_cycle(x, y, hp, eps)
-            if not len(cx):
-                return None
-            ring = _proved_ring(cx, cy)
-            if ring is None:
-                hull = convex_hull([Point(a, b) for a, b in zip(cx.tolist(), cy.tolist())])
-                ring = _ring_arrays(hull.vertices)
-            x, y = ring
-    return ConvexPolygon(tuple(zip(x.tolist(), y.tolist())))
+    """Clip a polygon by a sequence of half-planes, one clip at a time;
+    None when emptied."""
+    poly = seed
+    for hp in planes:
+        poly = clip(poly, hp, eps)
+        if poly is None:
+            return None
+    return poly
 
 
 def clip(poly: ConvexPolygon, hp: HalfPlane, eps: float = 0.0) -> Optional[ConvexPolygon]:
-    """Intersect a convex polygon with a closed half-plane: one step of
-    intersect_halfplanes.
+    """Intersect a convex polygon with a closed half-plane.
 
-    Returns None when the intersection is empty; a single point or
-    segment intersection comes back as a degenerate polygon.
+    The result is the convex hull of the vertices hp contains (within eps)
+    and of the crossing on each edge with one end in and one out; an edge
+    parallel to the line gets none, and a segment has one edge.  Returns
+    None when the intersection is empty; a single point or segment
+    intersection comes back as a degenerate polygon.
     """
-    return intersect_halfplanes(poly, (hp,), eps)
+    v = poly.vertices
+    n = len(v)
+    vals = [hp.value(p) for p in v]
+    inside = [hp.contains(p, eps) for p in v]
+    out = []
+    for i in range(n):
+        if inside[i]:
+            out.append(v[i])
+        j = (i + 1) % n
+        va, vb = vals[i], vals[j]
+        if (n > 2 or j) and inside[i] != inside[j] and va != vb:
+            t = Fraction(va, va - vb) if isinstance(va, int) and isinstance(vb, int) else va / (va - vb)
+            a, b = v[i], v[j]
+            out.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    return convex_hull(out) if out else None

@@ -22,6 +22,7 @@ vertex; its normal is the vertex's left event.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -50,10 +51,10 @@ from .kernel import (
     Point,
     angle_of,
     as_float_point,
+    convex_hull,
     cross,
     cw_gap,
     dot,
-    intersect_halfplanes,
     point_in_polygon,
     unit,
     wrap_angle,
@@ -138,8 +139,96 @@ class SectorRegion:
         return bool(np.all(h <= self.c + eps * scale))
 
     def clipped(self, container: ConvexPolygon, eps: float = 0.0) -> Optional[ConvexPolygon]:
-        """Materialize sector intersected with the container polygon."""
-        return intersect_halfplanes(container, self.planes, eps)
+        """The sector intersected with the container polygon.
+
+        Preconditions: the intersection is bounded and has interior, as has
+        every sector holding a body with interior inside its container (a
+        point's sector over an arc of pi or more is the point and does not
+        qualify).  The planes may come in any order: a smooth body's run
+        clockwise from arc.start, a polygon's do not.
+
+        One pass over the sector's planes and the container's edges in
+        order of normal angle keeps a deque of the lines that bound the
+        region so far (Preparata and Shamos 1985): each plane drops the
+        lines at either end whose last corner it does not contain, as
+        HalfPlane.contains at eps (at least EPS_FLOOR) tests, and of two
+        lines whose normals lie within EPS_ANGLE only the tighter stays.
+        A corner is walked to along a container edge where it has one, as
+        a scalar clip's crossing is, so nearly parallel lines move it along
+        a line and not off it; adjacent edges meet at their own vertex.
+        Corners within the tolerance of the one before merge, and
+        convex_hull of the rest starts the cycle at its least vertex.
+        """
+        m, n, verts = len(self.nx), container.n, container.vertices
+        # each line passes through (ox, oy) and runs along its normal turned
+        # left: an edge from its first vertex, a sector line from the foot
+        # of the origin on it
+        edges = np.array([(float(hp.nx), float(hp.ny), float(hp.c), float(v.x), float(v.y))
+                          for hp, v in zip(map(container.edge_halfplane, range(n)), verts)])
+        nx = np.concatenate((self.nx, edges[:, 0]))
+        ny = np.concatenate((self.ny, edges[:, 1]))
+        c = np.concatenate((self.c, edges[:, 2]))
+        foot = self.c / (self.nx * self.nx + self.ny * self.ny)
+        ox = np.concatenate((foot * self.nx, edges[:, 3]))
+        oy = np.concatenate((foot * self.ny, edges[:, 4]))
+        nl = np.hypot(nx, ny)
+        ang = np.arctan2(ny, nx)
+        order = np.argsort(ang, kind="stable").tolist()
+        tol = max(eps, EPS_FLOOR)
+        off = c / nl
+        off[m:] -= tol * (1.0 + np.abs(off[m:]))  # an edge wins a near tie, keeping corners on it
+        off, slack = off.tolist(), (tol * nl).tolist()
+        nx, ny, c, ox, oy, ang = (v.tolist() for v in (nx, ny, c, ox, oy, ang))
+
+        def corner(i, j):
+            if i >= m and j >= m and j - m == (i - m + 1) % n:
+                return verts[j - m]
+            if j >= m:
+                i, j = j, i
+            dx, dy = -ny[i], nx[i]
+            t = (c[j] - nx[j] * ox[i] - ny[j] * oy[i]) / (nx[j] * dx + ny[j] * dy)
+            return Point(ox[i] + t * dx, oy[i] + t * dy)
+
+        def contains(k, p):
+            x, y = float(p.x), float(p.y)
+            return nx[k] * x + ny[k] * y - c[k] <= slack[k] * (1.0 + max(abs(x), abs(y)))
+
+        planes, corners = deque(), deque()  # corners[i] joins planes[i] and planes[i + 1]
+        for k in order:
+            if planes and ang[k] - ang[planes[-1]] <= EPS_ANGLE:
+                if off[k] >= off[planes[-1]]:
+                    continue
+                planes.pop()
+                if corners:
+                    corners.pop()
+            while corners and not contains(k, corners[-1]):
+                planes.pop()
+                corners.pop()
+            while corners and not contains(k, corners[0]):
+                planes.popleft()
+                corners.popleft()
+            if planes:
+                corners.append(corner(planes[-1], k))
+            planes.append(k)
+        if len(planes) >= 2 and ang[planes[0]] + TWO_PI - ang[planes[-1]] <= EPS_ANGLE:
+            if off[planes[0]] < off[planes[-1]]:
+                planes.pop()
+                corners.pop()
+            else:
+                planes.popleft()
+                corners.popleft()
+        while len(planes) >= 3 and not contains(planes[0], corners[-1]):
+            planes.pop()
+            corners.pop()
+        while len(planes) >= 3 and not contains(planes[-1], corners[0]):
+            planes.popleft()
+            corners.popleft()
+        if len(planes) < 3:
+            return None
+        corners.append(corner(planes[-1], planes[0]))
+        pts = [(float(p.x), float(p.y)) for p in corners]
+        return convex_hull([p for p, (x, y), (u, v) in zip(corners, pts, pts[-1:] + pts[:-1])
+                            if max(abs(x - u), abs(y - v)) > tol * (1.0 + max(abs(x), abs(y)))])
 
 
 SECTOR_SAMPLES = 512  # half-plane count across a smooth arc

@@ -89,28 +89,28 @@ def test_cmd_csl_malformed(tmp_path, capsys):
 
 
 def test_malformed_documents_fail_cleanly(tmp_path):
-    # every malformed variant must exit 64 (bad document) or 65 (invariant),
-    # never crash with a stray exception
+    # each malformed variant exits with its own code, 64 (bad document) or
+    # 65 (scene invariant), and never crashes with a stray exception
     base = json.loads(canonical_dumps(scene_to_doc(
         Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE))))
     variants = [
-        {k: v for k, v in base.items() if k != "G"},
-        {**base, "mode": "weird"},
-        {**base, "tolerances": "zz"},
-        {**base, "tolerances": {"eps": "x"}},
-        {**base, "A0": {"kind": "blob"}},
-        {**base, "A0": "x"},
-        {**base, "A0": {"kind": "disk", "center": [0], "radius": 1}},
-        {**base, "A1": {"kind": "ellipse", "center": [0, 0], "semi_major": 1,
-                        "semi_minor": 2, "rotation": 0}},
-        {**base, "G": {"vertices": [[0, 0]]}},
-        {**base, "schema_version": "0"},
+        ({k: v for k, v in base.items() if k != "G"}, 64),
+        ({**base, "mode": "weird"}, 64),
+        ({**base, "tolerances": "zz"}, 64),
+        ({**base, "tolerances": {"eps": "x"}}, 64),
+        ({**base, "A0": {"kind": "blob"}}, 64),
+        ({**base, "A0": "x"}, 64),
+        ({**base, "A0": {"kind": "disk", "center": [0], "radius": 1}}, 64),
+        ({**base, "A1": {"kind": "ellipse", "center": [0, 0], "semi_major": 1,
+                         "semi_minor": 2, "rotation": 0}}, 65),
+        ({**base, "G": {"vertices": [[0, 0]]}}, 65),
+        ({**base, "schema_version": "0"}, 64),
+        ({**base, "G": {"vertices": base["G"]["vertices"][::-1]}}, 65),  # clockwise
     ]
-    for k, doc in enumerate(variants):
+    for k, (doc, want) in enumerate(variants):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code = main(["check", str(path)])
-        assert code in (64, 65), (k, code)
+        assert main(["check", str(path)]) == want, k
 
 
 def _set(doc, path, value):

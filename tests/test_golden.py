@@ -95,6 +95,17 @@ def test_ellipse_sector_svg_golden(tmp_path):
     assert "#9e9e9e" in svg.decode() and "#dddddd" not in svg.decode()
 
 
+@pytest.mark.parametrize("name", [
+    "integer_seed3",  # exact container, a 6-vertex sector
+    "crowded_second_gap_integer2",  # exact container, a 5-vertex sector
+    "crowded_gap_ellipse_2026_33",  # an ellipse's 518-vertex sector
+])
+def test_sector_svg_goldens(tmp_path, name):
+    svg = _cli_bytes(tmp_path, ["render", str(GOLDEN / f"{name}.json")], "s.svg")
+    assert svg == (GOLDEN / f"{name}.svg").read_bytes()
+    assert "#9e9e9e" in svg.decode()
+
+
 def test_mixed_gap_scene_and_check_golden(tmp_path):
     # an ellipse/polygon scene whose first gap holds a thin opposite-sign
     # excursion: the output pins the constructive witness and trace there,
