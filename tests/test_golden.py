@@ -171,13 +171,27 @@ def test_constructive_path_check_goldens(tmp_path, name, gen_args):
     assert check == (GOLDEN / f"{name}_check.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", [
+    "point_ellipse",  # float: a point and an ellipse
+    "two_points_exact",  # exact: two points
+])
+def test_point_body_check_and_svg_goldens(tmp_path, name):
+    scene_path = str(GOLDEN / f"{name}.json")
+    check = _cli_bytes(tmp_path, ["check", scene_path, "--method", "both"], "c.json")
+    assert check == (GOLDEN / f"{name}_check.json").read_bytes()
+    svg = _cli_bytes(tmp_path, ["render", scene_path], "p.svg")
+    assert svg == (GOLDEN / f"{name}.svg").read_bytes()
+    assert "#9e9e9e" in svg.decode()
+
+
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
                  "sharpness6.json", "crowded_gap_ellipse_2026_33.json",
                  "crowded_second_gap_integer2.json", "crowded_gap_polygons_556_2374.json",
                  "fails_smooth_2026_151.json",
-                 "vertex_in_body_exact.json"):
+                 "vertex_in_body_exact.json", "point_ellipse.json",
+                 "two_points_exact.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()
