@@ -1,9 +1,8 @@
 """Convex bodies and their support functions.
 
 A body is one of: a convex polygon (one or two vertices double as point
-and segment bodies), a disk, an ellipse, or an explicit point.  A
-polygonal body's vertex list is its own hull: a strictly convex ccw
-cycle, a segment or a point.
+and segment bodies), a disk, or an ellipse.  A polygonal body's vertex
+list is its own hull: a strictly convex ccw cycle, a segment or a point.
 
 The support function h(t) = max over the body of p . (cos t, sin t)
 drives everything: supporting lines, membership of one body in the
@@ -77,26 +76,23 @@ class Ellipse:
         return u, Point(-u.y, u.x)
 
 
-@dataclass(frozen=True)
-class PointBody:
-    point: Point
+def PointBody(p: Point) -> PolygonBody:
+    """The point body at p: its one-vertex polygon."""
+    return PolygonBody(ConvexPolygon((p,)))
 
 
 class SupportEval(NamedTuple):
     value: float
     contact: Point
-    kind: str  # vertex | edge-interior | smooth
 
 
 def is_polygonal(body) -> bool:
-    return isinstance(body, (PolygonBody, PointBody))
+    return isinstance(body, PolygonBody)
 
 
 def polygonal_vertices(body) -> list:
     if isinstance(body, PolygonBody):
         return list(body.poly.vertices)
-    if isinstance(body, PointBody):
-        return [body.point]
     raise ModeMixError("smooth body has no vertex list")
 
 
@@ -121,8 +117,6 @@ def edge_normal_angles(body) -> tuple:
 def as_float_body(body):
     if isinstance(body, PolygonBody):
         return PolygonBody(body.poly.as_float())
-    if isinstance(body, PointBody):
-        return PointBody(as_float_point(body.point))
     if isinstance(body, Disk):
         return Disk(as_float_point(body.center), float(body.radius))
     if isinstance(body, Ellipse):
@@ -135,8 +129,6 @@ def origin_radius(body) -> float:
     """Upper bound for |p| over the body; Lipschitz constant of support."""
     if isinstance(body, PolygonBody):
         return max(norm(v) for v in body.poly.vertices)
-    if isinstance(body, PointBody):
-        return norm(body.point)
     if isinstance(body, Disk):
         return norm(body.center) + float(body.radius)
     if isinstance(body, Ellipse):
@@ -163,27 +155,25 @@ def support_dir(body, d: Point):
     Positive homogeneity makes the zero set of support differences
     independent of |d|, which is what the exact tangency path relies on.
     """
-    if isinstance(body, PointBody):
-        return dot(body.point, d), body.point, "vertex"
     if isinstance(body, PolygonBody):
         verts = body.poly.vertices
         vals = [dot(v, d) for v in verts]
         best = max(vals)
         idx = [i for i, v in enumerate(vals) if v == best]
         if len(idx) == 1:
-            return best, verts[idx[0]], "vertex"
+            return best, verts[idx[0]]
         # antipodal extreme pair along the boundary span of the tie
         pd = Point(-d.y, d.x)
         keyed = sorted(idx, key=lambda i: float(dot(verts[i], pd)))
         a, b = verts[keyed[0]], verts[keyed[-1]]
         mid = Point(_half(a.x + b.x), _half(a.y + b.y))
-        return best, mid, "edge-interior"
+        return best, mid
     if isinstance(body, Disk):
         nd = norm(d)
         value = float(dot(body.center, d)) + float(body.radius) * nd
         contact = Point(float(body.center.x) + float(body.radius) * float(d.x) / nd,
                         float(body.center.y) + float(body.radius) * float(d.y) / nd)
-        return value, contact, "smooth"
+        return value, contact
     if isinstance(body, Ellipse):
         u, v = body.axes
         du = float(dot(d, u))
@@ -193,24 +183,23 @@ def support_dir(body, d: Point):
         s = math.sqrt(a2u * du + b2v * dv)
         cx, cy = float(body.center.x), float(body.center.y)
         if s == 0.0:
-            return float(dot(body.center, d)), Point(cx, cy), "smooth"
+            return float(dot(body.center, d)), Point(cx, cy)
         contact = Point(cx + (a2u * u.x + b2v * v.x) / s,
                         cy + (a2u * u.y + b2v * v.y) / s)
-        return float(dot(body.center, d)) + s, contact, "smooth"
+        return float(dot(body.center, d)) + s, contact
     raise TypeError(type(body))
 
 
 def support(body, theta: float) -> SupportEval:
     """Support in the unit direction (cos theta, sin theta)."""
-    value, contact, kind = support_dir(body, unit(theta))
-    return SupportEval(float(value), contact, kind)
+    value, contact = support_dir(body, unit(theta))
+    return SupportEval(float(value), contact)
 
 
-def _support_cs(body):
-    """(c, s) -> float(support_dir(body, Point(c, s))[0]) for float c, s."""
-    if isinstance(body, PointBody):
-        x, y = as_float_point(body.point)
-        return lambda c, s: x * c + y * s
+def support_cs(body):
+    """(c, s) -> float(support_dir(body, Point(c, s))[0]) for float c, s, to
+    the bit: the body's floats are taken once, and each call does the float
+    operations of support_dir in the same order."""
     if isinstance(body, PolygonBody):
         verts = [as_float_point(v) for v in body.poly.vertices]
         return lambda c, s: max([x * c + y * s for x, y in verts])
@@ -229,21 +218,8 @@ def _support_cs(body):
     raise TypeError(type(body))
 
 
-def support_fn(body):
-    """theta -> support(body, theta).value, bit for bit, without contacts.
-
-    The body's floats are taken once; each call does the float operations
-    of support() in the same order.
-    """
-    h = _support_cs(body)
-    return lambda t: h(math.cos(t), math.sin(t))
-
-
 def support_batch(body, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
     """Vectorized support values over unit directions."""
-    if isinstance(body, PointBody):
-        p = as_float_point(body.point)
-        return p.x * cos_t + p.y * sin_t
     if isinstance(body, PolygonBody):
         verts = np.array([(float(v.x), float(v.y)) for v in body.poly.vertices])
         return np.max(verts[:, 0, None] * cos_t + verts[:, 1, None] * sin_t, axis=0)
@@ -290,11 +266,6 @@ def supporting_line(body, theta: float) -> HalfPlane:
 def body_contains_point(body, p: Point, eps: float = 0.0) -> bool:
     if isinstance(body, PolygonBody):
         return point_in_polygon(p, body.poly, eps)
-    if isinstance(body, PointBody):
-        if eps == 0.0:
-            return p == body.point
-        return (Point(float(p.x), float(p.y)) - as_float_point(body.point)).linf() \
-            <= eps * (1.0 + body.point.linf())
     if isinstance(body, Disk):
         dx = float(p.x) - float(body.center.x)
         dy = float(p.y) - float(body.center.y)
@@ -613,7 +584,7 @@ def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
 
     @cache
     def gap():
-        h_outer, h_inner = _support_cs(outer), _support_cs(inner)
+        h_outer, h_inner = support_cs(outer), support_cs(inner)
         points = [as_float_point(p) for p in extra]
 
         def fn(theta):  # the hull's support is the maximum of its parts'
@@ -666,8 +637,6 @@ def _contained_in_smooth_hull(inner, outer, extra, eps, n_theta):
 def body_in_polygon(body, poly: ConvexPolygon, eps: float = 0.0) -> bool:
     """body <= polygon, decided exactly through edge supports."""
     if poly.n < 3:
-        if isinstance(body, PointBody):
-            return point_in_polygon(body.point, poly, eps)
         if is_polygonal(body):
             return all(point_in_polygon(v, poly, eps) for v in polygonal_vertices(body))
         return False
@@ -675,7 +644,7 @@ def body_in_polygon(body, poly: ConvexPolygon, eps: float = 0.0) -> bool:
     for i in range(poly.n):
         hp = poly.edge_halfplane(i)
         d = Point(hp.nx, hp.ny)
-        h, _, _ = support_dir(body, d)
+        h, _ = support_dir(body, d)
         if eps == 0.0:
             if h > hp.c:
                 return False

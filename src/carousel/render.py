@@ -33,8 +33,7 @@ class RenderSpec:
 
 
 def _fmt(v: float) -> str:
-    s = f"{v:.6f}"
-    return "-0.000000" if s == "-0.000000" else s
+    return f"{v:.6f}"
 
 
 def _points_attr(points: Iterable[Tuple[float, float]]) -> str:
@@ -161,11 +160,10 @@ def render_scene_doc(doc: dict, spec: RenderSpec = RenderSpec()) -> str:
                         f'stroke-dasharray="{_fmt(4 * lw)} {_fmt(4 * lw)}"/>')
         elif layer == "markers":
             for sw in ann.get("sweeps", []):
-                for key in ("points",):
-                    pts = _floatpts(sw[key])
-                    for x, y in (pts[0], pts[-1]):
-                        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                                     f'r="{_fmt(1.8 * lw)}" fill="{MARKER_FILL}"/>')
+                pts = _floatpts(sw["points"])
+                for x, y in (pts[0], pts[-1]):
+                    parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
+                                 f'r="{_fmt(1.8 * lw)}" fill="{MARKER_FILL}"/>')
             csl = ann.get("csl")
             if csl and csl.get("kind") == "Finite":
                 for line in csl["lines"]:

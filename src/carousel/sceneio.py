@@ -117,6 +117,8 @@ def _point_in(v, exact: bool) -> Point:
 
 
 def body_to_doc(body, exact: bool) -> dict:
+    if isinstance(body, PolygonBody) and body.poly.n == 1:
+        return {"kind": "point", "point": _point_out(body.poly.vertices[0], exact)}
     if isinstance(body, PolygonBody):
         return {"kind": "polygon",
                 "vertices": [_point_out(p, exact) for p in body.poly.vertices]}
@@ -128,8 +130,6 @@ def body_to_doc(body, exact: bool) -> dict:
                 "semi_major": _scalar_out(body.a, exact),
                 "semi_minor": _scalar_out(body.b, exact),
                 "rotation": float(body.angle)}
-    if isinstance(body, PointBody):
-        return {"kind": "point", "point": _point_out(body.point, exact)}
     raise DocumentError(f"cannot serialize body {type(body).__name__}")
 
 

@@ -361,7 +361,6 @@ class BoundarySweep:
     start: BoundaryPoint
     end: BoundaryPoint
     covered: Tuple[int, ...]
-    cw_length: float
 
 
 def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine,
@@ -391,7 +390,7 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine,
     cum = fc.cumulative_lengths()
     if full:
         order = sorted(range(fc.n), key=lambda i: (start.param - cum[i]) % perim)
-        return BoundarySweep(start, end, tuple(order), perim)
+        return BoundarySweep(start, end, tuple(order))
     length = (start.param - end.param) % perim
     tol = max(eps, EPS_FLOOR) * (1.0 + perim)
     hits = []
@@ -402,7 +401,7 @@ def sweep(l_from: OrientedSupportLine, l_to: OrientedSupportLine,
         elif off <= length + tol:
             hits.append((min(off, length), i))
     hits.sort()
-    return BoundarySweep(start, end, tuple(i for _, i in hits), length)
+    return BoundarySweep(start, end, tuple(i for _, i in hits))
 
 
 # ---------------------------------------------------------------------------

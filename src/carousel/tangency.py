@@ -39,7 +39,7 @@ from .bodies import (
     polygonal_vertices,
     support,
     support_batch,
-    support_fn,
+    support_cs,
     support_grid,
 )
 from .kernel import (
@@ -341,10 +341,11 @@ def _csl_sampled(a0, a1, eps: float):
     deltas = support_grid(a0, CSL_GRID) - support_grid(a1, CSL_GRID)
     scale = 1.0 + max(origin_radius(a0), origin_radius(a1))
     thr = eps * scale
-    h0, h1 = support_fn(a0), support_fn(a1)
+    h0, h1 = support_cs(a0), support_cs(a1)
 
     def dfun(t: float) -> float:
-        return h0(t) - h1(t)
+        c, s = math.cos(t), math.sin(t)
+        return h0(c, s) - h1(c, s)
 
     near = np.abs(deltas) <= thr
     if bool(np.all(near)):

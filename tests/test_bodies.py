@@ -24,7 +24,7 @@ from carousel.bodies import (
     polygonal_vertices,
     support,
     support_batch,
-    support_fn,
+    support_cs,
     support_grid,
     supporting_line,
 )
@@ -64,23 +64,19 @@ def test_disk_support_axis():
     ev = support(Disk(Point(0.0, 0.0), 1.0), 0.0)
     assert math.isclose(ev.value, 1.0)
     assert math.isclose(ev.contact.x, 1.0) and abs(ev.contact.y) < 1e-15
-    assert ev.kind == "smooth"
 
 
 def test_square_corner_support():
     ev = support(square(), math.pi / 4)
     assert math.isclose(ev.value, math.sqrt(2))
-    assert ev.contact == Point(1.0, 1.0)
-    assert ev.kind == "vertex"
+    assert ev.contact == Point(1.0, 1.0)  # the corner itself, not a midpoint
 
 
 def test_segment_edge_interior_tie():
     seg = PolygonBody(ConvexPolygon((Point(F(0), F(0)), Point(F(2), F(0)))))
-    val, contact, kind = __import__("carousel.bodies", fromlist=["support_dir"]).support_dir(
-        seg, Point(F(0), F(1)))
-    assert val == 0
-    assert contact == Point(F(1), F(0))
-    assert kind == "edge-interior"
+    # a tie of both ends touches at their midpoint, exactly; no tie at an end
+    assert bodies.support_dir(seg, Point(F(0), F(1))) == (0, Point(F(1), F(0)))
+    assert bodies.support_dir(seg, Point(F(1), F(1))) == (2, Point(F(2), F(0)))
 
 
 def test_ellipse_axis_support():
@@ -277,21 +273,21 @@ def _mixed_bodies(rng):
     b = rng.choice((1, F(1, 2), rng.uniform(0.01, 1.0)))
     ellipse = Ellipse(Point(coord(), coord()), b + rng.choice((0, 1, F(5, 2))),
                       b, rng.uniform(-4.0, 4.0))
-    both = convex_hull([pt.point, *poly.poly.vertices])
+    both = convex_hull([pt.poly.vertices[0], *poly.poly.vertices])
     return [pt, poly, disk, ellipse,
             *(PolygonBody(listed_from(h, rng.randrange(h.n))) for h in (poly.poly, both))]
 
 
-def test_support_fn_is_bit_identical_to_support():
+def test_support_cs_is_bit_identical_to_support():
     rng = random.Random(2026)
     checked = 0
     for _ in range(40):
         for body in _mixed_bodies(rng):
-            fn = support_fn(body)
+            fn = support_cs(body)
             angles = [rng.uniform(-10.0, 10.0) for _ in range(8)]
             angles += [0.0, math.pi / 2, math.pi, -math.pi / 4]
             for t in angles:
-                assert fn(t) == support(body, t).value
+                assert fn(math.cos(t), math.sin(t)) == support(body, t).value
                 checked += 1
     assert checked >= 2000
 

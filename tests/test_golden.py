@@ -184,6 +184,30 @@ def test_point_body_check_and_svg_goldens(tmp_path, name):
     assert "#9e9e9e" in svg.decode()
 
 
+@pytest.mark.parametrize("name", ["point_ellipse", "two_points_exact"])
+def test_point_document_is_its_one_vertex_polygon(tmp_path, name):
+    # a point document and the one-vertex polygon document of the same point
+    # load to equal bodies, give the same csl, check and render bytes, and
+    # the body is written back as a point
+    doc = load_document(str(GOLDEN / f"{name}.json"))
+    poly_doc = {**doc, **{key: {"kind": "polygon", "vertices": [doc[key]["point"]]}
+                          for key in ("A0", "A1") if doc[key]["kind"] == "point"}}
+    paths = [tmp_path / "point.json", tmp_path / "polygon.json"]
+    for path, d in zip(paths, (doc, poly_doc)):
+        path.write_text(canonical_dumps(d) + "\n")
+    scene, _ = scene_from_doc(doc)
+    twin, _ = scene_from_doc(poly_doc)
+    assert (twin.a0, twin.a1) == (scene.a0, scene.a1)
+    assert canonical_dumps(scene_to_doc(twin)) == canonical_dumps(doc)
+    for cmd in (["csl"], ["check", "--method", "both"], ["render"]):
+        outs = []
+        for k, path in enumerate(paths):
+            out = tmp_path / f"{cmd[0]}{k}"
+            outs.append((main([cmd[0], str(path), *cmd[1:], "--out", str(out)]),
+                         out.read_bytes()))
+        assert outs[0] == outs[1]
+
+
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",

@@ -344,7 +344,7 @@ def test_sweep_single_line_covers_everything():
     pair = adjacent_pairs(csl)[0]
     sw = sweep(pair.line, pair.cw_next, BIG_SQUARE)
     assert sorted(sw.covered) == [0, 1, 2, 3]
-    assert math.isclose(sw.cw_length, BIG_SQUARE.perimeter)
+    assert sw.end == sw.start  # a full turn ends where it starts
 
 
 def test_consecutive_sweeps_share_endpoint():
@@ -360,8 +360,12 @@ def test_consecutive_sweeps_share_endpoint():
         s2 = sweeps[nxt_idx]
         d = as_float_point(s1.end.location) - as_float_point(s2.start.location)
         assert math.hypot(d.x, d.y) <= 1e-7
-    total = sum(s.cw_length for s in sweeps.values())
-    assert math.isclose(total, BIG_SQUARE.perimeter, rel_tol=1e-6)
+    # the sweeps tile the boundary: their clockwise lengths add up to the
+    # perimeter, and together they cover every vertex
+    perim = BIG_SQUARE.perimeter
+    total = sum((s.start.param - s.end.param) % perim for s in sweeps.values())
+    assert math.isclose(total, perim, rel_tol=1e-6)
+    assert set().union(*(s.covered for s in sweeps.values())) == set(range(BIG_SQUARE.n))
 
 
 def test_vertex_events_polygonal_and_smooth_agree():
