@@ -7,15 +7,18 @@ circle.  Lines are oriented: the same geometric line with opposite
 normals counts twice, which keeps the normal-angle map a bijection even
 for point and segment bodies.
 
-Two algorithms coexist.  Polygonal pairs merge the two bodies' edge
-normal fans once (rotating calipers); between consecutive merged normals
-the difference is a single sinusoid (p - q) . u of one active vertex
-pair, so its zeros, zero arcs and signs follow from the signs at the
-merged normals and the perpendiculars of p - q.  This path is sign-exact
-in rational mode and reproduces the same structure in float mode.  Pairs
-with a smooth member sample the difference on a dense grid, bisect sign
-changes, take each gap's sign from its strict samples, and report
-plateaus as arcs of infinitely many common lines.
+Two algorithms coexist.  Every pair with a polygonal member, and two
+disks, merges the bodies' edge-normal fans once (rotating calipers; a
+point, a disk or an ellipse brings no normals).  Between consecutive
+merged normals the difference is one active vertex against the other
+body: a sinusoid (p - q) . u against a vertex, and against a conic the
+difference whose zeros are the normals of the conic's two tangents
+through p.  So its zeros, zero arcs and signs follow in closed form from
+the signs at the merged normals.  This path is sign-exact in rational
+mode, which admits only polygons.  Two conics with an ellipse sample the
+difference on a dense grid, bisect sign changes, take each gap's sign
+from its strict samples, and report plateaus as arcs of infinitely many
+common lines.
 
 mixed_sign_gaps then tests every gap's sign, for either kind of pair.
 """
@@ -26,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .bodies import (
-    edge_normal_angles,
+    Disk,
     golden_min,
     grid_dirs,
     is_polygonal,
@@ -40,6 +43,7 @@ from .bodies import (
     support,
     support_batch,
     support_cs,
+    support_dir,
     support_grid,
 )
 from .kernel import (
@@ -48,6 +52,7 @@ from .kernel import (
     TWO_PI,
     Point,
     angle_of,
+    as_float_point,
     cw_gap,
     wrap_angle,
 )
@@ -123,7 +128,7 @@ def slide_turn(body, base: OrientedSupportLine, alpha: float) -> OrientedSupport
 
 
 # ---------------------------------------------------------------------------
-# merged normal fan for polygonal pairs
+# merged normal fans: every pair with a polygonal member, and two disks
 
 def _canon_dir_rational(d: Point) -> Point:
     """Primitive integer representative of the ray through rational d."""
@@ -152,23 +157,67 @@ def _dir_cmp(a: Point, b: Point) -> int:
     return 0
 
 
-def _fan(verts):
+class _Conic(NamedTuple):
+    """A disk or an ellipse body: centre c, unit axes ex and ey, semi-axes a, b."""
+
+    body: object
+    c: Point
+    ex: Point
+    ey: Point
+    a: float
+    b: float
+
+    def zeros(self, p: Point, tol: float) -> list:
+        """The zeros of p . u - h(u) in ccw order as (ray, sign just clockwise,
+        sign just counterclockwise).  Where the conic is the unit disk, p is
+        q, and the zeros are the tangent normals at +-atan(sqrt(|q|^2 - 1))
+        about q, mapped back by the axis scaling.  Within tol of the boundary
+        by the first-order distance (|q|^2 - 1) / |grad| they are one
+        tangential zero, at the boundary normal there."""
+        (ex, ey), a, b = (self.ex, self.ey), self.a, self.b
+        d = p - self.c
+        x, y = (d.x * ex.x + d.y * ex.y) / a, (d.x * ey.x + d.y * ey.y) / b
+        excess = x * x + y * y - 1.0
+        if abs(excess) <= 2.0 * tol * math.hypot(x / a, y / b):
+            return [(self._ray(x / a, y / b), -1, -1)]
+        if excess < 0.0:
+            return []
+        w = math.sqrt(excess)
+        return [(self._ray((x + w * y) / a, (y - w * x) / b), -1, 1),
+                (self._ray((x - w * y) / a, (y + w * x) / b), 1, -1)]
+
+    def _ray(self, s: float, t: float) -> Point:
+        return Point(s * self.ex.x + t * self.ey.x, s * self.ex.y + t * self.ey.y)
+
+
+def _conic(body) -> _Conic:
+    c = as_float_point(body.center)
+    if isinstance(body, Disk):
+        r = float(body.radius)
+        return _Conic(body, c, Point(1.0, 0.0), Point(0.0, 1.0), r, r)
+    return _Conic(body, c, *body.axes, float(body.a), float(body.b))
+
+
+def _fan(side):
     """Outward edge normals of a polygonal vertex cycle in ccw order from
     the least direction, each with the vertex active just past it, and the
-    vertex active just before the first.  A point has no normals."""
-    n = len(verts)
+    vertex active just before the first.  A point or a conic has no normals
+    and is active throughout."""
+    if isinstance(side, _Conic):
+        return [], side
+    n = len(side)
     if n == 1:
-        return [], verts[0]
-    fan = [(Point(b.y - a.y, -(b.x - a.x)), b) for a, b in zip(verts, verts[1:] + verts[:1])]
+        return [], side[0]
+    fan = [(Point(b.y - a.y, -(b.x - a.x)), b) for a, b in zip(side, side[1:] + side[:1])]
     s = next(i for i in range(n) if _half(fan[i][0]) < _half(fan[i - 1][0]))
-    return fan[s:] + fan[:s], verts[s]
+    return fan[s:] + fan[:s], side[s]
 
 
 def _merged_fan(v0, v1):
     """Both bodies' normal fans merged in one pass: [u, p_in, p, q_in, q]
-    per distinct direction u, with the active vertices of body 0 (p) and
-    body 1 (q) just before and just past u.  On the open arc from one
-    direction to the next, the active pair is that direction's (p, q)."""
+    per distinct direction u, with the active vertices (or conic) of body 0
+    (p) and body 1 (q) just before and just past u.  On the open arc from
+    one direction to the next, the active pair is that direction's (p, q)."""
     fan0, p = _fan(v0)
     fan1, q = _fan(v1)
     kinks = []
@@ -186,65 +235,140 @@ def _merged_fan(v0, v1):
     return kinks
 
 
-def _csl_polygonal(a0, a1, eps: float):
+def _closed_form(a0, a1) -> bool:
+    """Whether _csl_fan solves the pair: a polygonal member, or two disks."""
+    return is_polygonal(a0) or is_polygonal(a1) or (isinstance(a0, Disk) and isinstance(a1, Disk))
+
+
+def _csl_fan(a0, a1, eps: float):
     """h0 - h1 from one merge of the two normal fans (rotating calipers).
 
-    On the arc from one merged normal to the next, h0 - h1 = (p - q) . u
-    for the active pair, a single sinusoid: zero throughout when p = q,
-    else of one sign on the arc (at most half a turn) unless its two ends
-    have strictly opposite signs, when it crosses zero once, at the
-    perpendicular of p - q that the signs name.  Zeros elsewhere sit at
-    merged normals.  Each gap's sign is that of the nearest nonzero normal
-    clockwise of its line, or, between two zero normals, the arc's
-    sinusoid a quarter turn past the first.  Float mode treats a
-    difference within eps * (1 + the larger origin radius) as zero, at the
-    merged normals and for the amplitude |p - q| of a whole arc.
+    A polygon brings its edge-normal fan; a point or a conic brings none.
+    On the arc from one merged normal to the next, h0 - h1 is the active
+    vertex p against the other body.  Against a vertex q it is the sinusoid
+    (p - q) . u: zero throughout when p = q, else of one sign on the arc (at
+    most half a turn) unless its two ends have strictly opposite signs,
+    when it crosses zero once, at the perpendicular of p - q they name.
+    Against a conic with centre c and matrix M, its zeros are the null
+    directions of u^T((p - c)(p - c)^T - M)u with (p - c) . u > 0, the
+    normals of the two tangents through p, each counted strictly inside the
+    arc.  Other zeros sit at merged normals.  Each zero's gap sign is that
+    of the difference just clockwise of it: a conic zero's own side, else
+    the nearest nonzero normal, or between two zero normals the sinusoid a
+    quarter turn past the first.  Float mode treats a difference within
+    eps * (1 + the larger origin radius) as zero, at the merged normals and
+    for the amplitude |p - q| of a whole arc.  Two disks are the point
+    c0 - c1 against the disk of radius |r0 - r1| at 0, as h0 - h1 =
+    (c0 - c1) . u + (r0 - r1), or two points for equal radii.  Conics are
+    float, so only polygon pairs run in rational mode.  Two rules:
+    - a vertex within the band of a conic's boundary, by _Conic.zeros'
+      first-order distance, has one tangential zero at the boundary normal
+      there: degenerate lines, noted "tangential zero at normal ...";
+    - a polygon edge tangent to a conic is a zero at a merged normal, the
+      merge's sign-0 event, and the arc's conic zero nearest it is its own.
     """
-    v0, v1 = polygonal_vertices(a0), polygonal_vertices(a1)
-    rational = not any(isinstance(c, float) for p in v0 + v1 for c in p)
-    tol = 0.0 if rational else eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
+    side = 1  # h0 - h1 is side times the difference of the merged fans
+    tol = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
+    if is_polygonal(a0) and is_polygonal(a1):
+        v0, v1 = polygonal_vertices(a0), polygonal_vertices(a1)
+    elif isinstance(a0, Disk) and isinstance(a1, Disk):
+        d = as_float_point(a0.center) - as_float_point(a1.center)
+        dr, origin = float(a0.radius) - float(a1.radius), Point(0.0, 0.0)
+        if math.hypot(d.x, d.y) + abs(dr) <= tol:
+            return CslIdentical()
+        v0, v1 = [d], [origin] if dr == 0.0 else _conic(Disk(origin, abs(dr)))
+        if dr > 0.0:
+            v0, side = [origin - d], -1
+    else:
+        poly, other = (a0, a1) if is_polygonal(a0) else (a1, a0)
+        v0, v1 = [as_float_point(v) for v in polygonal_vertices(poly)], _conic(other)
+        side = 1 if poly is a0 else -1
+    conic = v1 if isinstance(v1, _Conic) else None
+    rational = conic is None and not any(isinstance(c, float) for p in v0 + v1 for c in p)
+    if rational:
+        tol = 0.0
     kinks = _merged_fan(v0, v1)
-    if not kinks:  # two points: their two perpendiculars, whole circle as one arc
+    if not kinks:  # a point against a point or a conic: the whole circle is one arc
+        if conic is not None:
+            return _lines(a0, a1, [(ray, cw) for ray, cw, _ in conic.zeros(v0[0], tol)],
+                          rational, side)
         d = v0[0] - v1[0]
         if d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol:
             return CslIdentical()
         events = sorted([(Point(d.y, -d.x), -1), (Point(-d.y, d.x), 1)],
                         key=cmp_to_key(lambda a, b: _dir_cmp(a[0], b[0])))
-        return _lines(a0, a1, events, rational)
+        return _lines(a0, a1, events, rational, side)
 
     m = len(kinks)
     sign = []
     for u, p_in, p, q_in, q in kinks:
         dv = max(p_in.x * u.x + p_in.y * u.y, p.x * u.x + p.y * u.y) \
-            - max(q_in.x * u.x + q_in.y * u.y, q.x * u.x + q.y * u.y)
+            - (support_dir(conic.body, u)[0] if conic else
+               max(q_in.x * u.x + q_in.y * u.y, q.x * u.x + q.y * u.y))
         zero = dv == 0 if rational else abs(dv) <= tol * math.hypot(u.x, u.y)
         sign.append(0 if zero else 1 if dv > 0 else -1)
-    pairs = [k[2] - k[4] for k in kinks]
-    flat = [d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol for d in pairs]
-    if not rational:  # an arc under a quarter turn between two zero normals, with
-        for k in range(m):  # neither peak +-(p - q) strictly inside, stays in the band
-            (u, w), d = (kinks[k][0], kinks[(k + 1) % m][0]), pairs[k]
-            flat[k] |= sign[k] == sign[(k + 1) % m] == 0 and u.x * w.x + u.y * w.y > 0 \
-                and (u.x * d.y - u.y * d.x) * (d.x * w.y - d.y * w.x) <= 0
-    if all(flat):
-        return CslIdentical()
-    if any(flat):
-        return CslArcs(tuple(_assemble_arcs([k[0] for k in kinks], flat, rational)))
+    if conic:
+        events = _conic_events(kinks, sign, conic, tol)
+    else:
+        pairs = [k[2] - k[4] for k in kinks]
+        flat = [d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol for d in pairs]
+        if not rational:  # an arc under a quarter turn between two zero normals, with
+            for k in range(m):  # neither peak +-(p - q) strictly inside, stays in the band
+                (u, w), d = (kinks[k][0], kinks[(k + 1) % m][0]), pairs[k]
+                flat[k] |= sign[k] == sign[(k + 1) % m] == 0 and u.x * w.x + u.y * w.y > 0 \
+                    and (u.x * d.y - u.y * d.x) * (d.x * w.y - d.y * w.x) <= 0
+        if all(flat):
+            return CslIdentical()
+        if any(flat):
+            return CslArcs(tuple(_assemble_arcs([k[0] for k in kinks], flat, rational)))
 
-    events = []  # (ray, sign of h0 - h1 just clockwise of it), ccw
+        events = []  # (ray, sign of h0 - h1 just clockwise of it), ccw
+        for k in range(m):
+            if sign[k] == 0:
+                cw = sign[k - 1]
+                if cw == 0:  # the sinusoid between two zero normals, a quarter turn past the first
+                    u, d = kinks[k - 1][0], pairs[k - 1]
+                    cw = 1 if u.x * d.y - u.y * d.x > 0 else -1
+                events.append((kinks[k][0], cw))
+            elif sign[k] == -sign[(k + 1) % m]:
+                d = pairs[k]
+                events.append((Point(d.y, -d.x), -1) if sign[k] < 0 else (Point(-d.y, d.x), 1))
+    past = len(events)  # the last arc's zeros past angle 0 go first
+    while past and _dir_cmp(events[past - 1][0], kinks[0][0]) < 0:
+        past -= 1
+    return _lines(a0, a1, events[past:] + events[:past], rational, side)
+
+
+def _conic_events(kinks, sign, conic: _Conic, tol: float) -> list:
+    """The zeros of h_P - h_B over P's merged fan against the conic B, in
+    ccw order, each with the sign of the difference just clockwise of it."""
+    m = len(kinks)
+    inside, last = [], []  # per arc: its zeros strictly inside; the sign just before its end
+    for k in range(m):
+        ends = ((kinks[k][0], sign[k]), (kinks[(k + 1) % m][0], sign[(k + 1) % m]))
+        zeros = conic.zeros(kinks[k][2], tol)
+        after = sign[k] or -1  # the sign just past the arc's start
+        for e, (end, s) in enumerate(ends):
+            if s == 0 and zeros:  # a zero normal's own zero is the arc's nearest to it
+                z = min(zeros, key=lambda z: abs(_turn(end, z[0])))
+                zeros.remove(z)
+                after = z[2] if e == 0 else after
+        (u, _), (w, _) = ends
+        arc = sorted((z for z in zeros if _turn(u, z[0]) > 0 and _turn(z[0], w) > 0),
+                     key=lambda z: _turn(u, z[0]))
+        inside.append([(ray, cw) for ray, cw, _ in arc])
+        last.append(arc[-1][2] if arc else after)
+    events = []
     for k in range(m):
         if sign[k] == 0:
-            cw = sign[k - 1]
-            if cw == 0:  # the sinusoid between two zero normals, a quarter turn past the first
-                u, d = kinks[k - 1][0], pairs[k - 1]
-                cw = 1 if u.x * d.y - u.y * d.x > 0 else -1
-            events.append((kinks[k][0], cw))
-        elif sign[k] == -sign[(k + 1) % m]:
-            d = pairs[k]
-            events.append((Point(d.y, -d.x), -1) if sign[k] < 0 else (Point(-d.y, d.x), 1))
-    if events and _dir_cmp(events[-1][0], kinks[0][0]) < 0:
-        events.insert(0, events.pop())  # the last arc's zero lies past angle 0
-    return _lines(a0, a1, events, rational)
+            events.append((kinks[k][0], last[k - 1]))
+        events += inside[k]
+    return events
+
+
+def _turn(u: Point, w: Point) -> float:
+    """Signed angle from ray u to ray w, in (-pi, pi]."""
+    return math.atan2(u.x * w.y - u.y * w.x, u.x * w.x + u.y * w.y)
 
 
 def _ray_angle(ray: Point, rational: bool) -> float:
@@ -253,14 +377,15 @@ def _ray_angle(ray: Point, rational: bool) -> float:
     return angle_of(_canon_dir_rational(ray) if rational else ray)
 
 
-def _lines(a0, a1, events, rational):
-    """CslLines from the zeros in ccw order, each with its clockwise sign;
-    a zero whose two neighbouring gaps share a sign is tangential."""
+def _lines(a0, a1, events, rational, side=1):
+    """CslLines from the zeros in ccw order, each with the clockwise sign
+    of the merged difference, h0 - h1 times side; a zero whose two
+    neighbouring gaps share a sign is tangential."""
     signed = []
     notes = []
     for k, (ray, cw) in enumerate(events):
         theta = _ray_angle(ray, rational)
-        signed.append((make_line(a0, a1, theta), cw))
+        signed.append((make_line(a0, a1, theta), side * cw))
         if cw == events[(k + 1) % len(events)][1]:
             notes.append(f"tangential zero at normal {theta:.12f}")
     signed.sort(key=lambda t: t[0].normal)
@@ -283,7 +408,7 @@ def _assemble_arcs(rays, flat, rational):
 
 
 # ---------------------------------------------------------------------------
-# sampled machinery for pairs with a smooth member
+# sampled machinery for two conics with an ellipse
 
 CSL_GRID = 4096
 ROOT_WIDTH = 1e-12
@@ -406,8 +531,8 @@ def common_supporting_lines(a0, a1, eps: float = EPS):
     Returns CslLines (finite, cyclically sorted), CslArcs (the difference
     vanishes on whole arcs), or CslIdentical.
     """
-    if is_polygonal(a0) and is_polygonal(a1):
-        return _csl_polygonal(a0, a1, eps)
+    if _closed_form(a0, a1):
+        return _csl_fan(a0, a1, eps)
     return _csl_sampled(a0, a1, eps)
 
 
@@ -443,7 +568,7 @@ def adjacent_pairs(csl: CslLines) -> List[AdjacentPair]:
     return out
 
 
-GAP_PROBES = 512  # uniform interior samples per gap of a pair with a smooth body
+GAP_PROBES = 512  # uniform interior samples per gap of two conics
 
 
 def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
@@ -454,33 +579,21 @@ def mixed_sign_gaps(a0, a1, csl: CslLines, eps: float = EPS) -> List[int]:
     also exactly when the other body W lies in D's sector there.  A failing
     gap means a nearby zero pair escaped the search, or a wrong sign, and
     the scene should be treated as degenerate.  The probes, one
-    support_batch pass per body, are the polygon edge normals strictly
-    inside each gap, where narrow excursions peak, plus GAP_PROBES uniform
-    interior normals if a body is smooth, else the gap's middle normal.
-    With no lines the whole circle is one gap, index 0, with no sign to
-    read: it fails when the difference takes both strict signs over the
-    edge normals.  The sampled CSL has already seen the uniform normals,
-    and the fan merge is exact for two polygonal bodies, so only a
-    polygon's edge normals against a smooth body can find an excursion.
+    support_batch pass per body, are each gap's middle normal for a pair
+    the fan merge solves in closed form, which finds every zero up to
+    rounding, and GAP_PROBES uniform interior normals for two conics,
+    whose sampled zeros can miss an excursion narrower than the grid.
+    With no lines there is no sign to read, and nothing fails.
     """
-    kinks = np.array(edge_normal_angles(a0) + edge_normal_angles(a1))
-    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     pairs = adjacent_pairs(csl)
     if not pairs:
-        if not len(kinks):
-            return []
-        ct, st = np.cos(kinks), np.sin(kinks)
-        deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
-        return [0] if deltas.max() > thr and deltas.min() < -thr else []
+        return []
+    thr = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     starts = np.array([p.line.normal for p in pairs])
     widths = np.array([p.delta for p in pairs])
-    steps = 2 if is_polygonal(a0) and is_polygonal(a1) else GAP_PROBES + 1
-    uniform = starts[:, None] - widths[:, None] * np.arange(1, steps) / steps
-    offsets = np.mod(starts - kinks[:, None], TWO_PI)  # clockwise from each gap's start
-    kink, gap = np.nonzero((offsets > EPS_ANGLE) & (offsets < widths - EPS_ANGLE))
-    thetas = np.concatenate((uniform.ravel(), kinks[kink]))
-    owner = np.concatenate((np.repeat(np.arange(len(pairs)), steps - 1), gap))
+    steps = 2 if _closed_form(a0, a1) else GAP_PROBES + 1
+    thetas = (starts[:, None] - widths[:, None] * np.arange(1, steps) / steps).ravel()
     ct, st = np.cos(thetas), np.sin(thetas)
     deltas = support_batch(a0, ct, st) - support_batch(a1, ct, st)
-    below = np.array(csl.signs)[owner] * deltas < -thr
-    return np.unique(owner[below]).tolist()
+    below = np.repeat(csl.signs, steps - 1) * deltas < -thr
+    return np.unique(np.repeat(np.arange(len(pairs)), steps - 1)[below]).tolist()

@@ -106,10 +106,11 @@ def test_sector_svg_goldens(tmp_path, name):
     assert "#9e9e9e" in svg.decode()
 
 
-def test_mixed_gap_scene_and_check_golden(tmp_path):
-    # an ellipse/polygon scene whose first gap holds a thin opposite-sign
-    # excursion: the output pins the constructive witness and trace there,
-    # where the crowded first gap drops vertex 1
+def test_thin_excursion_scene_and_check_golden(tmp_path):
+    # an ellipse/polygon scene where a polygon vertex pokes past the ellipse
+    # over less than a 4096-angle grid step: the closed form finds four
+    # lines, and the output pins the constructive witness and trace, where
+    # the crowded second gap drops vertex 4 of A_1
     got = _cli_bytes(tmp_path, ["gen", "--kind", "fuzz", "--seed", "2026",
                                 "--index", "614"], "m.json")
     assert got == (GOLDEN / "mixed_gap_2026_614.json").read_bytes()

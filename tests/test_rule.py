@@ -200,46 +200,91 @@ def test_crowded_gap_needs_no_right_event_or_event_order():
 
 
 @pytest.mark.parametrize("seed, index, brute_ij, witness", [
-    (2026, 614, (0, 0), (0, 1)),  # ellipse / polygon, n = 7
-    (7411, 4, (0, 1), (1, 0)),    # polygon / disk, n = 3
+    (2026, 614, (0, 0), (1, 4)),  # ellipse / polygon, n = 7
+    (7411, 4, (0, 1), None),      # polygon / disk, n = 3 = s - 1
 ])
-def test_mixed_sign_gap_scenes(seed, index, brute_ij, witness):
-    # one gap holds a thin opposite-sign excursion: the degeneracy filter
-    # flags it, while the gap's sign from the common-line pass still picks
-    # the dominant body there and the constructive decider finds a witness
+def test_thin_excursions_in_a_gap_are_two_more_lines(seed, index, brute_ij, witness):
+    # a polygon vertex pokes past the smooth body over less than one step
+    # of a 4096-angle grid, inside one gap of the two lines a grid finds.
+    # The closed form finds both zeros of the excursion: four lines, every
+    # gap passes the gap-sign test, and the verdict and brute force's
+    # (i, j) are those the grid's mixed-sign-gap record had
     scene = generate_fuzz_scene(FuzzConfig(seed=seed), index)
     csl = scene_csl(scene)
-    assert mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps) == [0]
+    assert tangency._csl_sampled(scene.a0, scene.a1, scene.tol.eps).count == 2
+    assert csl.count == 4 and not csl.degenerate
+    assert mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps) == []
     rec = verify_scene(scene)
-    assert rec["degenerate_reason"] == "mixed-sign-gap"
-    assert (rec["verdict"], rec["i"], rec["j"]) == ("holds", *brute_ij)
-    cert, trace = check_carousel_constructive(scene, csl)
-    assert cert.verdict == "holds"
-    assert (trace.witness, trace.case, trace.notes) == (witness, 0, ())
+    assert (rec["degenerate"], rec["verdict"], rec["i"], rec["j"]) == (False, "holds", *brute_ij)
+    if witness is not None:
+        cert, trace = check_carousel_constructive(scene, csl)
+        assert cert.verdict == "holds"
+        assert (trace.witness, trace.case, trace.notes) == (witness, 0, ())
 
 
-@pytest.mark.parametrize("seed, index, kind, brute_ij", [
-    (1, 2372, "Disk", (0, 2)),
-    (5, 917, "Disk", (1, 1)),
-    (19, 343, "Ellipse", (1, 1)),
+@pytest.mark.parametrize("seed, index, kind, brute_ij, witness", [
+    (1, 2372, "Disk", (0, 2), (1, 1)),
+    (5, 917, "Disk", (1, 1), (1, 1)),
+    (19, 343, "Ellipse", (1, 1), (1, 1)),
 ])
-def test_missed_excursion_at_no_common_line_is_a_mixed_sign_gap(seed, index, kind, brute_ij):
+def test_missed_excursion_at_no_line_is_two_lines(seed, index, kind, brute_ij, witness):
     # the smooth body pokes past one polygon edge over about 1e-3 rad, which
-    # the 4096-angle grid steps over: no line is found although there are
-    # two.  The whole-circle probe at the edge normals sees both signs, so
-    # the scene is degenerate instead of a constructive disagreement.
+    # the 4096-angle grid steps over: it finds no line although there are
+    # two.  The closed form finds both, and the constructive decider
+    # agrees with brute force
     scene = generate_fuzz_scene(FuzzConfig(seed=seed), index)
     assert {type(scene.a0).__name__, type(scene.a1).__name__} == {"PolygonBody", kind}
-    csl = scene_csl(scene)
-    assert isinstance(csl, CslLines) and csl.count == 0
-    assert mixed_sign_gaps(scene.a0, scene.a1, csl, eps=scene.tol.eps) == [0]
+    assert tangency._csl_sampled(scene.a0, scene.a1, scene.tol.eps).count == 0
     assert verify_scene(scene) == {
-        "s": 0, "csl_kind": "lines", "degenerate": True,
-        "degenerate_reason": "mixed-sign-gap", "verdict": "holds",
-        "i": brute_ij[0], "j": brute_ij[1], "fragile": False, "constructive_ok": None,
-        "constructive_case": None, "cross_agree": None, "dichotomy_ok": None,
-        "sweeps_ok": None, "error": None,
+        "s": 2, "csl_kind": "lines", "degenerate": False,
+        "degenerate_reason": None, "verdict": "holds",
+        "i": brute_ij[0], "j": brute_ij[1], "fragile": False, "constructive_ok": True,
+        "constructive_case": 0, "cross_agree": True, "dichotomy_ok": True,
+        "sweeps_ok": True, "error": None,
     }
+    assert check_carousel_constructive(scene)[1].witness == witness
+
+
+@pytest.mark.parametrize("seed, index", [
+    (2026, 614), (2026, 721), (2026, 4903), (7411, 4), (7411, 1903), (7411, 5150),
+    (1, 2372), (5, 917), (19, 343),
+])
+def test_lines_the_grid_missed_are_real(seed, index):
+    # each line the closed form finds beyond the grid's is a zero of
+    # h0 - h1, checked by scalar support: within the band at its normal,
+    # and strictly past the band with opposite signs 1e-6 rad to each side
+    scene = generate_fuzz_scene(FuzzConfig(seed=seed), index)
+    a0, a1 = scene.a0, scene.a1
+    thr = scene.tol.eps * (1.0 + max(bodies.origin_radius(a0), bodies.origin_radius(a1)))
+    grid = [l.normal for l in tangency._csl_sampled(a0, a1, scene.tol.eps).lines]
+    gained = [l.normal for l in scene_csl(scene).lines
+              if all(abs(math.remainder(l.normal - t, 2 * math.pi)) > 1e-9 for t in grid)]
+    assert len(gained) == 2
+
+    def delta(t):
+        return bodies.support(a0, t).value - bodies.support(a1, t).value
+
+    for t in gained:
+        assert abs(delta(t)) <= thr
+        before, after = delta(t - 1e-6), delta(t + 1e-6)
+        assert min(abs(before), abs(after)) > thr and (before > 0) != (after > 0)
+
+
+def test_a_wrong_sign_of_two_conics_is_a_mixed_sign_gap(monkeypatch):
+    # two conics are the one pair kind whose lines come from a sampled
+    # grid, so the gap-sign test still guards them: a negated sign fails
+    # its gap's uniform probes, and the record is a mixed-sign-gap
+    scene = Scene(Disk(Point(-0.5, 0.1), 0.3), Ellipse(Point(0.6, -0.2), 0.5, 0.3, 0.4),
+                  BIG_SQUARE).validate()
+    csl = scene_csl(scene)
+    assert csl.count == 2 and mixed_sign_gaps(scene.a0, scene.a1, csl) == []
+    for k in range(csl.count):
+        signs = tuple(-g if i == k else g for i, g in enumerate(csl.signs))
+        wrong = dataclasses.replace(csl, signs=signs)
+        assert mixed_sign_gaps(scene.a0, scene.a1, wrong) == [k]
+        monkeypatch.setattr(rule, "common_supporting_lines", lambda *args: wrong)
+        rec = verify_scene(scene)
+        assert (rec["degenerate_reason"], rec["verdict"]) == ("mixed-sign-gap", "holds")
 
 
 def test_vertex_events_come_from_the_scene_bodies(monkeypatch):
