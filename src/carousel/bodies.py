@@ -1,8 +1,9 @@
 """Convex bodies and their support functions.
 
 A body is one of: a convex polygon (one or two vertices double as point
-and segment bodies), a disk, or an ellipse.  A polygonal body's vertex
-list is its own hull: a strictly convex ccw cycle, a segment or a point.
+and segment bodies) or an ellipse (a disk is a circular one).  A
+polygonal body's vertex list is its own hull: a strictly convex ccw
+cycle, a segment or a point.
 
 The support function h(t) = max over the body of p . (cos t, sin t)
 drives everything: supporting lines, membership of one body in the
@@ -47,16 +48,6 @@ class PolygonBody:
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: Point
-    radius: Scalar
-
-    def __post_init__(self):
-        if not float(self.radius) > 0.0:
-            raise InvalidBody("disk radius must be positive")
-
-
-@dataclass(frozen=True)
 class Ellipse:
     """Axis lengths are semi-axes with a >= b; angle rotates the major axis."""
 
@@ -74,6 +65,42 @@ class Ellipse:
         """Unit major and minor axis directions."""
         u = unit(self.angle)
         return u, Point(-u.y, u.x)
+
+    def tangent_normals(self, p: Point, tol: float) -> list:
+        """The zeros of p . u - h(u) for a float point p, in ccw order, as
+        (ray, sign just clockwise, sign just counterclockwise).  The map
+        taking the ellipse to the unit circle takes p to q, and the zeros
+        are the tangent normals at angle(q) -+ arccos(1/|q|), mapped back by
+        the axis scaling: the first is the left tangent's.  Within tol of
+        the boundary by the first-order distance (|q|^2 - 1) / |grad| they
+        are one tangential zero, at the boundary normal there; inside,
+        there is none."""
+        ((ux, uy), (vx, vy)), a, b = self.axes, float(self.a), float(self.b)
+
+        def ray(s, t):  # s u + t v
+            return Point(s * ux + t * vx, s * uy + t * vy)
+        dx, dy = p.x - float(self.center.x), p.y - float(self.center.y)
+        x, y = (dx * ux + dy * uy) / a, (dx * vx + dy * vy) / b
+        excess = x * x + y * y - 1.0
+        if abs(excess) <= 2.0 * tol * math.hypot(x / a, y / b):
+            return [(ray(x / a, y / b), -1, -1)]
+        if excess < 0.0:
+            return []
+        w = math.sqrt(excess)
+        return [(ray((x + w * y) / a, (y - w * x) / b), -1, 1),
+                (ray((x - w * y) / a, (y + w * x) / b), 1, -1)]
+
+
+def Disk(center: Point, radius: Scalar) -> Ellipse:
+    """The disk of the given centre and radius: its circular ellipse."""
+    if not float(radius) > 0.0:
+        raise InvalidBody("disk radius must be positive")
+    return Ellipse(center, radius, radius)
+
+
+def is_disk(body) -> bool:
+    """Whether the body is what Disk builds: an ellipse with a == b at angle 0."""
+    return isinstance(body, Ellipse) and body.a == body.b and body.angle == 0.0
 
 
 def PointBody(p: Point) -> PolygonBody:
@@ -117,8 +144,6 @@ def edge_normal_angles(body) -> tuple:
 def as_float_body(body):
     if isinstance(body, PolygonBody):
         return PolygonBody(body.poly.as_float())
-    if isinstance(body, Disk):
-        return Disk(as_float_point(body.center), float(body.radius))
     if isinstance(body, Ellipse):
         return Ellipse(as_float_point(body.center), float(body.a),
                        float(body.b), float(body.angle))
@@ -129,8 +154,6 @@ def origin_radius(body) -> float:
     """Upper bound for |p| over the body; Lipschitz constant of support."""
     if isinstance(body, PolygonBody):
         return max(norm(v) for v in body.poly.vertices)
-    if isinstance(body, Disk):
-        return norm(body.center) + float(body.radius)
     if isinstance(body, Ellipse):
         return norm(body.center) + float(body.a)
     raise TypeError(type(body))
@@ -168,12 +191,6 @@ def support_dir(body, d: Point):
         a, b = verts[keyed[0]], verts[keyed[-1]]
         mid = Point(_half(a.x + b.x), _half(a.y + b.y))
         return best, mid
-    if isinstance(body, Disk):
-        nd = norm(d)
-        value = float(dot(body.center, d)) + float(body.radius) * nd
-        contact = Point(float(body.center.x) + float(body.radius) * float(d.x) / nd,
-                        float(body.center.y) + float(body.radius) * float(d.y) / nd)
-        return value, contact
     if isinstance(body, Ellipse):
         u, v = body.axes
         du = float(dot(d, u))
@@ -203,16 +220,13 @@ def support_cs(body):
     if isinstance(body, PolygonBody):
         verts = [as_float_point(v) for v in body.poly.vertices]
         return lambda c, s: max([x * c + y * s for x, y in verts])
-    if isinstance(body, Disk):
-        (x, y), r = as_float_point(body.center), float(body.radius)
-        return lambda c, s: x * c + y * s + r * math.hypot(c, s)
     if isinstance(body, Ellipse):
-        (x, y), (u, v) = as_float_point(body.center), body.axes
+        (x, y), ((ux, uy), (vx, vy)) = as_float_point(body.center), body.axes
         a2, b2 = float(body.a) ** 2, float(body.b) ** 2
 
         def ellipse(c, s):
-            du = c * u.x + s * u.y
-            dv = c * v.x + s * v.y
+            du = c * ux + s * uy
+            dv = c * vx + s * vy
             return x * c + y * s + math.sqrt(a2 * du * du + b2 * dv * dv)
         return ellipse
     raise TypeError(type(body))
@@ -223,9 +237,6 @@ def support_batch(body, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
     if isinstance(body, PolygonBody):
         verts = np.array([(float(v.x), float(v.y)) for v in body.poly.vertices])
         return np.max(verts[:, 0, None] * cos_t + verts[:, 1, None] * sin_t, axis=0)
-    if isinstance(body, Disk):
-        c = as_float_point(body.center)
-        return c.x * cos_t + c.y * sin_t + float(body.radius)
     if isinstance(body, Ellipse):
         u, v = body.axes
         c = as_float_point(body.center)
@@ -266,16 +277,11 @@ def supporting_line(body, theta: float) -> HalfPlane:
 def body_contains_point(body, p: Point, eps: float = 0.0) -> bool:
     if isinstance(body, PolygonBody):
         return point_in_polygon(p, body.poly, eps)
-    if isinstance(body, Disk):
-        dx = float(p.x) - float(body.center.x)
-        dy = float(p.y) - float(body.center.y)
-        r = float(body.radius)
-        return (dx * dx + dy * dy) / (r * r) <= 1.0 + eps
     if isinstance(body, Ellipse):
-        u, v = body.axes
-        q = Point(float(p.x) - float(body.center.x), float(p.y) - float(body.center.y))
-        qu = float(dot(q, u)) / float(body.a)
-        qv = float(dot(q, v)) / float(body.b)
+        (ux, uy), (vx, vy) = body.axes
+        qx, qy = float(p.x) - float(body.center.x), float(p.y) - float(body.center.y)
+        qu = (qx * ux + qy * uy) / float(body.a)
+        qv = (qx * vx + qy * vy) / float(body.b)
         return qu * qu + qv * qv <= 1.0 + eps
     raise TypeError(type(body))
 

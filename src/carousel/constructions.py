@@ -260,7 +260,7 @@ def _centered_point(rng: random.Random, container: ConvexPolygon) -> Point:
 
 
 def _random_disk_body(rng: random.Random, container: ConvexPolygon,
-                      limit: int) -> Disk:
+                      limit: int) -> Ellipse:
     for _ in range(limit):
         c = _centered_point(rng, container)
         room = _edge_clearance(container, c)

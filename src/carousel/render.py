@@ -33,7 +33,9 @@ class RenderSpec:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+    """v to six decimals; a value that rounds to zero prints unsigned."""
+    s = f"{v:.6f}"
+    return "0.000000" if s == "-0.000000" else s
 
 
 def _points_attr(points: Iterable[Tuple[float, float]]) -> str:

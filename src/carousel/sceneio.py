@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .bodies import ContainmentResult, Disk, Ellipse, PointBody, PolygonBody
+from .bodies import ContainmentResult, Disk, Ellipse, PointBody, PolygonBody, is_disk
 from .kernel import ConvexPolygon, Point
 from .rule import Certificate, ConstructiveTrace, Scene, Tolerances
 from .tangency import CslArcs, CslIdentical, CslLines, OrientedSupportLine
@@ -122,9 +122,9 @@ def body_to_doc(body, exact: bool) -> dict:
     if isinstance(body, PolygonBody):
         return {"kind": "polygon",
                 "vertices": [_point_out(p, exact) for p in body.poly.vertices]}
-    if isinstance(body, Disk):
+    if is_disk(body):
         return {"kind": "disk", "center": _point_out(body.center, exact),
-                "radius": _scalar_out(body.radius, exact)}
+                "radius": _scalar_out(body.a, exact)}
     if isinstance(body, Ellipse):
         return {"kind": "ellipse", "center": _point_out(body.center, exact),
                 "semi_major": _scalar_out(body.a, exact),

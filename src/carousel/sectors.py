@@ -29,7 +29,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bodies import (
-    Disk,
     body_contains_point,
     edge_normal_angles,
     is_polygonal,
@@ -413,20 +412,19 @@ def vertex_hit_events(body, container: ConvexPolygon, eps: float = EPS):
     Returns ({vertex: normal}, inside).  A vertex strictly outside the body
     has one left event: the normal of the body's supporting line through
     the vertex whose exit, travelled with the body on the left, is that
-    vertex.  It is found by one scan of a polygonal body's vertices, and in
-    closed form for disks and ellipses.  inside lists the vertices in or on
-    the body, ascending.
+    vertex.  It is found by one scan of a polygonal body's vertices, and
+    for an ellipse as the first of its tangent normals through the vertex.
+    inside lists the vertices in or on the body, ascending.
     """
     polygonal = is_polygonal(body)
     lefts, inside = {}, []
     for i, v in enumerate(container.vertices):
-        normal = None
-        if not body_contains_point(body, v, eps):
-            normal = _left_normal_polygonal(body, v) if polygonal else _left_normal_smooth(body, v)
-        if normal is None:
+        if body_contains_point(body, v, eps):
             inside.append(i)
+        elif polygonal:
+            lefts[i] = _left_normal_polygonal(body, v)
         else:
-            lefts[i] = normal
+            lefts[i] = angle_of(body.tangent_normals(as_float_point(v), 0.0)[0][0])
     return lefts, inside
 
 
@@ -450,32 +448,6 @@ def _left_normal_polygonal(body, g: Point) -> float:
         return wrap_angle(angle_of(as_float_point(g) - as_float_point(a)) - math.pi / 2)
     d = g - a
     return angle_of(Point(d.y, -d.x))
-
-
-def _left_normal_smooth(body, g: Point) -> Optional[float]:
-    """Closed-form normal of the left tangent from g to a disk or an
-    ellipse; None when g lies inside or on it.
-
-    The affine map taking a disk or ellipse to the unit circle takes g to
-    q with |q| > 1; there the left tangent's normal sits at angle(q) - psi
-    (the map keeps orientation), with psi = arccos(1/|q|), and maps back
-    through the inverse transpose.
-    """
-    fg = as_float_point(g)
-    if isinstance(body, Disk):
-        u, a, b = Point(1.0, 0.0), float(body.radius), float(body.radius)
-    else:
-        u, a, b = body.axes[0], float(body.a), float(body.b)
-    c = as_float_point(body.center)
-    dx, dy = fg.x - c.x, fg.y - c.y
-    qx = (dx * u.x + dy * u.y) / a
-    qy = (dy * u.x - dx * u.y) / b
-    rho = math.hypot(qx, qy)
-    if rho <= 1.0:
-        return None
-    m = math.atan2(qy, qx) - math.acos(1.0 / rho)
-    mu, mv = math.cos(m) / a, math.sin(m) / b
-    return angle_of(Point(mu * u.x - mv * u.y, mu * u.y + mv * u.x))
 
 
 # ---------------------------------------------------------------------------

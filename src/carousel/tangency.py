@@ -8,8 +8,8 @@ normals counts twice, which keeps the normal-angle map a bijection even
 for point and segment bodies.
 
 Two algorithms coexist.  Every pair with a polygonal member, and two
-disks, merges the bodies' edge-normal fans once (rotating calipers; a
-point, a disk or an ellipse brings no normals).  Between consecutive
+circular ellipses, merges the bodies' edge-normal fans once (rotating
+calipers; a point or an ellipse brings no normals).  Between consecutive
 merged normals the difference is one active vertex against the other
 body: a sinusoid (p - q) . u against a vertex, and against a conic the
 difference whose zeros are the normals of the conic's two tangents
@@ -29,14 +29,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .bodies import (
     Disk,
+    Ellipse,
     golden_min,
     grid_dirs,
+    is_disk,
     is_polygonal,
     origin_radius,
     polygonal_vertices,
@@ -128,7 +130,7 @@ def slide_turn(body, base: OrientedSupportLine, alpha: float) -> OrientedSupport
 
 
 # ---------------------------------------------------------------------------
-# merged normal fans: every pair with a polygonal member, and two disks
+# merged normal fans: every pair with a polygonal member, and two circular ellipses
 
 def _canon_dir_rational(d: Point) -> Point:
     """Primitive integer representative of the ray through rational d."""
@@ -157,53 +159,12 @@ def _dir_cmp(a: Point, b: Point) -> int:
     return 0
 
 
-class _Conic(NamedTuple):
-    """A disk or an ellipse body: centre c, unit axes ex and ey, semi-axes a, b."""
-
-    body: object
-    c: Point
-    ex: Point
-    ey: Point
-    a: float
-    b: float
-
-    def zeros(self, p: Point, tol: float) -> list:
-        """The zeros of p . u - h(u) in ccw order as (ray, sign just clockwise,
-        sign just counterclockwise).  Where the conic is the unit disk, p is
-        q, and the zeros are the tangent normals at +-atan(sqrt(|q|^2 - 1))
-        about q, mapped back by the axis scaling.  Within tol of the boundary
-        by the first-order distance (|q|^2 - 1) / |grad| they are one
-        tangential zero, at the boundary normal there."""
-        (ex, ey), a, b = (self.ex, self.ey), self.a, self.b
-        d = p - self.c
-        x, y = (d.x * ex.x + d.y * ex.y) / a, (d.x * ey.x + d.y * ey.y) / b
-        excess = x * x + y * y - 1.0
-        if abs(excess) <= 2.0 * tol * math.hypot(x / a, y / b):
-            return [(self._ray(x / a, y / b), -1, -1)]
-        if excess < 0.0:
-            return []
-        w = math.sqrt(excess)
-        return [(self._ray((x + w * y) / a, (y - w * x) / b), -1, 1),
-                (self._ray((x - w * y) / a, (y + w * x) / b), 1, -1)]
-
-    def _ray(self, s: float, t: float) -> Point:
-        return Point(s * self.ex.x + t * self.ey.x, s * self.ex.y + t * self.ey.y)
-
-
-def _conic(body) -> _Conic:
-    c = as_float_point(body.center)
-    if isinstance(body, Disk):
-        r = float(body.radius)
-        return _Conic(body, c, Point(1.0, 0.0), Point(0.0, 1.0), r, r)
-    return _Conic(body, c, *body.axes, float(body.a), float(body.b))
-
-
 def _fan(side):
     """Outward edge normals of a polygonal vertex cycle in ccw order from
     the least direction, each with the vertex active just past it, and the
     vertex active just before the first.  A point or a conic has no normals
     and is active throughout."""
-    if isinstance(side, _Conic):
+    if isinstance(side, Ellipse):
         return [], side
     n = len(side)
     if n == 1:
@@ -236,8 +197,9 @@ def _merged_fan(v0, v1):
 
 
 def _closed_form(a0, a1) -> bool:
-    """Whether _csl_fan solves the pair: a polygonal member, or two disks."""
-    return is_polygonal(a0) or is_polygonal(a1) or (isinstance(a0, Disk) and isinstance(a1, Disk))
+    """Whether _csl_fan solves the pair: a polygonal member, or two circular
+    ellipses."""
+    return is_polygonal(a0) or is_polygonal(a1) or (is_disk(a0) and is_disk(a1))
 
 
 def _csl_fan(a0, a1, eps: float):
@@ -257,13 +219,13 @@ def _csl_fan(a0, a1, eps: float):
     the nearest nonzero normal, or between two zero normals the sinusoid a
     quarter turn past the first.  Float mode treats a difference within
     eps * (1 + the larger origin radius) as zero, at the merged normals and
-    for the amplitude |p - q| of a whole arc.  Two disks are the point
-    c0 - c1 against the disk of radius |r0 - r1| at 0, as h0 - h1 =
+    for the amplitude |p - q| of a whole arc.  Two circular ellipses are
+    the point c0 - c1 against the one of radius |r0 - r1| at 0, as h0 - h1 =
     (c0 - c1) . u + (r0 - r1), or two points for equal radii.  Conics are
     float, so only polygon pairs run in rational mode.  Two rules:
-    - a vertex within the band of a conic's boundary, by _Conic.zeros'
-      first-order distance, has one tangential zero at the boundary normal
-      there: degenerate lines, noted "tangential zero at normal ...";
+    - a vertex within Ellipse.tangent_normals' band of a conic's boundary
+      has one tangential zero at the boundary normal there: degenerate
+      lines, noted "tangential zero at normal ...";
     - a polygon edge tangent to a conic is a zero at a merged normal, the
       merge's sign-0 event, and the arc's conic zero nearest it is its own.
     """
@@ -271,26 +233,26 @@ def _csl_fan(a0, a1, eps: float):
     tol = eps * (1.0 + max(origin_radius(a0), origin_radius(a1)))
     if is_polygonal(a0) and is_polygonal(a1):
         v0, v1 = polygonal_vertices(a0), polygonal_vertices(a1)
-    elif isinstance(a0, Disk) and isinstance(a1, Disk):
+    elif is_disk(a0) and is_disk(a1):
         d = as_float_point(a0.center) - as_float_point(a1.center)
-        dr, origin = float(a0.radius) - float(a1.radius), Point(0.0, 0.0)
+        dr, origin = float(a0.a) - float(a1.a), Point(0.0, 0.0)
         if math.hypot(d.x, d.y) + abs(dr) <= tol:
             return CslIdentical()
-        v0, v1 = [d], [origin] if dr == 0.0 else _conic(Disk(origin, abs(dr)))
+        v0, v1 = [d], [origin] if dr == 0.0 else Disk(origin, abs(dr))
         if dr > 0.0:
             v0, side = [origin - d], -1
     else:
         poly, other = (a0, a1) if is_polygonal(a0) else (a1, a0)
-        v0, v1 = [as_float_point(v) for v in polygonal_vertices(poly)], _conic(other)
+        v0, v1 = [as_float_point(v) for v in polygonal_vertices(poly)], other
         side = 1 if poly is a0 else -1
-    conic = v1 if isinstance(v1, _Conic) else None
+    conic = v1 if isinstance(v1, Ellipse) else None
     rational = conic is None and not any(isinstance(c, float) for p in v0 + v1 for c in p)
     if rational:
         tol = 0.0
     kinks = _merged_fan(v0, v1)
     if not kinks:  # a point against a point or a conic: the whole circle is one arc
         if conic is not None:
-            return _lines(a0, a1, [(ray, cw) for ray, cw, _ in conic.zeros(v0[0], tol)],
+            return _lines(a0, a1, [(ray, cw) for ray, cw, _ in conic.tangent_normals(v0[0], tol)],
                           rational, side)
         d = v0[0] - v1[0]
         if d == (0, 0) if rational else math.hypot(d.x, d.y) <= tol:
@@ -303,7 +265,7 @@ def _csl_fan(a0, a1, eps: float):
     sign = []
     for u, p_in, p, q_in, q in kinks:
         dv = max(p_in.x * u.x + p_in.y * u.y, p.x * u.x + p.y * u.y) \
-            - (support_dir(conic.body, u)[0] if conic else
+            - (support_dir(conic, u)[0] if conic else
                max(q_in.x * u.x + q_in.y * u.y, q.x * u.x + q.y * u.y))
         zero = dv == 0 if rational else abs(dv) <= tol * math.hypot(u.x, u.y)
         sign.append(0 if zero else 1 if dv > 0 else -1)
@@ -339,14 +301,14 @@ def _csl_fan(a0, a1, eps: float):
     return _lines(a0, a1, events[past:] + events[:past], rational, side)
 
 
-def _conic_events(kinks, sign, conic: _Conic, tol: float) -> list:
+def _conic_events(kinks, sign, conic: Ellipse, tol: float) -> list:
     """The zeros of h_P - h_B over P's merged fan against the conic B, in
     ccw order, each with the sign of the difference just clockwise of it."""
     m = len(kinks)
     inside, last = [], []  # per arc: its zeros strictly inside; the sign just before its end
     for k in range(m):
         ends = ((kinks[k][0], sign[k]), (kinks[(k + 1) % m][0], sign[(k + 1) % m]))
-        zeros = conic.zeros(kinks[k][2], tol)
+        zeros = conic.tangent_normals(kinks[k][2], tol)
         after = sign[k] or -1  # the sign just past the arc's start
         for e, (end, s) in enumerate(ends):
             if s == 0 and zeros:  # a zero normal's own zero is the arc's nearest to it

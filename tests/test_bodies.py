@@ -739,8 +739,6 @@ def _scaled(body, s):
         return PolygonBody(ConvexPolygon(tuple(Point(s * v.x, s * v.y)
                                                for v in body.poly.vertices)))
     c = Point(s * body.center.x, s * body.center.y)
-    if isinstance(body, Disk):
-        return Disk(c, s * body.radius)
     return Ellipse(c, s * body.a, s * body.b, body.angle)
 
 

@@ -88,9 +88,10 @@ def test_cmd_csl_malformed(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_documents_fail_cleanly(tmp_path):
+def test_malformed_documents_fail_cleanly(tmp_path, capsys):
     # each malformed variant exits with its own code, 64 (bad document) or
-    # 65 (scene invariant), and never crashes with a stray exception
+    # 65 (scene invariant), and never crashes with a stray exception; a disk
+    # of radius 0 or -1 keeps its own message
     base = json.loads(canonical_dumps(scene_to_doc(
         Scene(Disk(Point(-0.3, 0.0), 0.1), Disk(Point(0.3, 0.0), 0.1), TRIANGLE))))
     variants = [
@@ -111,6 +112,13 @@ def test_malformed_documents_fail_cleanly(tmp_path):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path)]) == want, k
+    for radius in (0, -1):
+        path = tmp_path / f"radius{radius}.json"
+        disk = {"kind": "disk", "center": [0, 0], "radius": radius}
+        path.write_text(json.dumps({**base, "A0": disk}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 65, radius
+        assert "disk radius must be positive" in capsys.readouterr().err
 
 
 def _set(doc, path, value):

@@ -159,6 +159,8 @@ LIBRARY_SCENES = {
     ("crowded_gap_polygons_556_2374", None),
     # exact mode, no crowded gap: A_0 holds g_0, so case 1 drops it
     ("vertex_in_body_exact", None),
+    # two disks in a triangle, s = 2 < n = 3: the first gap drops vertex 1
+    ("disks_in_triangle0", ["--kind", "disks-in-triangle", "--seed", "0"]),
 ])
 def test_constructive_path_check_goldens(tmp_path, name, gen_args):
     scene_path = GOLDEN / f"{name}.json"
@@ -185,20 +187,15 @@ def test_point_body_check_and_svg_goldens(tmp_path, name):
     assert "#9e9e9e" in svg.decode()
 
 
-@pytest.mark.parametrize("name", ["point_ellipse", "two_points_exact"])
-def test_point_document_is_its_one_vertex_polygon(tmp_path, name):
-    # a point document and the one-vertex polygon document of the same point
-    # load to equal bodies, give the same csl, check and render bytes, and
-    # the body is written back as a point
-    doc = load_document(str(GOLDEN / f"{name}.json"))
-    poly_doc = {**doc, **{key: {"kind": "polygon", "vertices": [doc[key]["point"]]}
-                          for key in ("A0", "A1") if doc[key]["kind"] == "point"}}
-    paths = [tmp_path / "point.json", tmp_path / "polygon.json"]
-    for path, d in zip(paths, (doc, poly_doc)):
+def _assert_twin_documents(tmp_path, doc, twin_doc):
+    """Both documents load to equal scenes, which write back as doc, and
+    give the same csl, check and render bytes."""
+    paths = [tmp_path / "doc.json", tmp_path / "twin.json"]
+    for path, d in zip(paths, (doc, twin_doc)):
         path.write_text(canonical_dumps(d) + "\n")
     scene, _ = scene_from_doc(doc)
-    twin, _ = scene_from_doc(poly_doc)
-    assert (twin.a0, twin.a1) == (scene.a0, scene.a1)
+    twin, _ = scene_from_doc(twin_doc)
+    assert twin == scene
     assert canonical_dumps(scene_to_doc(twin)) == canonical_dumps(doc)
     for cmd in (["csl"], ["check", "--method", "both"], ["render"]):
         outs = []
@@ -209,6 +206,26 @@ def test_point_document_is_its_one_vertex_polygon(tmp_path, name):
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("name", ["point_ellipse", "two_points_exact"])
+def test_point_document_is_its_one_vertex_polygon(tmp_path, name):
+    # a point document and the one-vertex polygon document of the same
+    # point are twins; the body is written back as a point
+    doc = load_document(str(GOLDEN / f"{name}.json"))
+    _assert_twin_documents(tmp_path, doc, {
+        **doc, **{key: {"kind": "polygon", "vertices": [doc[key]["point"]]}
+                  for key in ("A0", "A1") if doc[key]["kind"] == "point"}})
+
+
+def test_disk_document_is_its_circular_ellipse(tmp_path):
+    # a disk document and the ellipse document with equal semi-axes and
+    # rotation 0 are twins; the body is written back as a disk
+    doc = load_document(str(GOLDEN / "disks_in_triangle0.json"))
+    _assert_twin_documents(tmp_path, doc, {
+        **doc, **{key: {"kind": "ellipse", "center": doc[key]["center"],
+                        "semi_major": doc[key]["radius"], "semi_minor": doc[key]["radius"],
+                        "rotation": 0.0} for key in ("A0", "A1")}})
+
+
 def test_goldens_parse_and_validate():
     for name in ("fuzz_seed1.json", "fuzz_seed2026_0.json", "integer_seed3.json",
                  "mixed_gap_2026_614.json", "sector_demo.json", "sharpness4.json",
@@ -216,7 +233,7 @@ def test_goldens_parse_and_validate():
                  "crowded_second_gap_integer2.json", "crowded_gap_polygons_556_2374.json",
                  "fails_smooth_2026_151.json",
                  "vertex_in_body_exact.json", "point_ellipse.json",
-                 "two_points_exact.json"):
+                 "two_points_exact.json", "disks_in_triangle0.json"):
         doc = load_document(str(GOLDEN / name))
         scene, _ = scene_from_doc(doc)
         scene.validate()

@@ -38,7 +38,6 @@ from carousel.kernel import (
 from carousel.sectors import (
     NormalArc,
     _left_normal_polygonal,
-    _left_normal_smooth,
     boundary_exit,
     expand_sector,
     sector_from_arc,
@@ -533,14 +532,21 @@ def _random_tangent_cases(count, seed=2026):
     return [(makers[k % len(makers)](), pt(3.0)) for k in range(count)]
 
 
+def _left_event(body, g, eps=0.0):
+    """vertex_hit_events' left event of g at the body; None when g is in or
+    on it."""
+    tri = ConvexPolygon((g, Point(g.x + 1e-3, g.y), Point(g.x, g.y + 1e-3)))
+    return vertex_hit_events(body, tri, eps)[0].get(tri.vertices.index(g))
+
+
 def test_closed_form_tangents_match_grid_bisection_oracle():
     cases = _random_tangent_cases(600)
-    kinds = set()
+    shapes = set()
     for body, g in cases:
         ref = _grid_bisection_tangents(body, g)
-        got = _left_normal_smooth(body, g)
+        got = _left_event(body, g)
         assert (got is None) == (ref is None), (body, g)
-        kinds.add((type(body).__name__, got is None))
+        shapes.add(("circle" if body.a == body.b else "oval", got is None))
         if got is None:
             continue
         t_ref = next(t for t, side in ref if side == "L")
@@ -548,9 +554,22 @@ def test_closed_form_tangents_match_grid_bisection_oracle():
         n = unit(got)
         residual = g.x * n.x + g.y * n.y - support(body, got).value
         assert abs(residual) <= 1e-12 * (1.0 + math.hypot(g.x, g.y))
-    # every body kind was met both outside (a left event) and inside (None)
-    assert kinds == {(k, none) for k in ("Disk", "Ellipse")
-                     for none in (False, True)}
+    # disks and non-circular ellipses were each met both outside (a left
+    # event) and inside (None)
+    assert shapes == {(k, none) for k in ("circle", "oval") for none in (False, True)}
+
+
+def test_left_event_is_the_first_tangent_normal():
+    # outside the unit disk at (2, 0) the left tangent touches at -pi/3;
+    # outside a rotated ellipse the left event is the routine's first zero
+    for body, g, want in ((Disk(Point(0.0, 0.0), 1.0), Point(2.0, 0.0), 5 * math.pi / 3),
+                          (Ellipse(Point(0.3, -0.2), 1.5, 0.5, 0.7), Point(-1.0, 2.0), None)):
+        ray, cw, ccw = body.tangent_normals(g, 0.0)[0]
+        assert (cw, ccw) == (-1, 1)
+        assert _left_event(body, g, 1e-9) == angle_of(ray)
+        assert want is None or circ_dist(angle_of(ray), want) < 1e-15
+        n = unit(angle_of(ray))
+        assert abs(g.x * n.x + g.y * n.y - support(body, angle_of(ray)).value) < 1e-12
 
 
 def _hull_left_normal(body, g):

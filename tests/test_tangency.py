@@ -649,12 +649,12 @@ def _conic_pair(rng):
     a = rng.uniform(0.3, 2.0)
     conic = Disk(c, a) if rng.random() < 0.5 else Ellipse(c, a, a * rng.uniform(0.2, 1.0),
                                                           rng.uniform(0.0, 6.3))
-    frame = tangency._conic(conic)
+    (ex, ey), a, b = conic.axes, conic.a, conic.b
     pts = []
     for _ in range(rng.randint(1, 5)):
         th, mode = rng.uniform(0.0, TWO_PI), rng.random()
-        at = Point(frame.a * math.cos(th), frame.b * math.sin(th))
-        tangent = Point(-frame.a * math.sin(th), frame.b * math.cos(th))
+        at = Point(a * math.cos(th), b * math.sin(th))
+        tangent = Point(-a * math.sin(th), b * math.cos(th))
         if mode < 0.3:
             scale = rng.choice((1.0, 1.0 + 1e-12, 1.0 - 1e-7, 1.0 + 1e-7, 1.0 + 1e-4))
             local = [Point(at.x * scale, at.y * scale)]
@@ -663,8 +663,8 @@ def _conic_pair(rng):
                      for l in (rng.uniform(-3, 3), rng.uniform(-3, 3))]
         else:
             local = [Point(rng.uniform(-4, 4) - c.x, rng.uniform(-4, 4) - c.y)]
-        pts += [Point(c.x + p.x * frame.ex.x + p.y * frame.ey.x,
-                      c.y + p.x * frame.ex.y + p.y * frame.ey.y) for p in local]
+        pts += [Point(c.x + p.x * ex.x + p.y * ey.x, c.y + p.x * ex.y + p.y * ey.y)
+                for p in local]
     poly = PolygonBody(convex_hull(pts))
     return (poly, conic) if rng.random() < 0.5 else (conic, poly)
 
